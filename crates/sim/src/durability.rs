@@ -367,10 +367,18 @@ impl BankDurabilityState {
 }
 
 /// Deterministic serial for a clearing deposit: unique per (flush, chunk),
-/// tagged so it can never collide with protocol token serials.
+/// tagged so it can never collide with protocol token serials. The audit
+/// log keeps only the first 8 bytes, so those alone must be unique too:
+/// they hold the flush in the low 40 bits and the chunk in the high 24.
+/// Chunk 0 leaves the high bits clear, so a flush that clears at most one
+/// chunk (every per-bundle flush) keeps its plain flush-number prefix.
 fn clearing_serial(flush: u64, chunk: u64) -> TokenId {
+    assert!(
+        flush < 1 << 40 && chunk < 1 << 24,
+        "clearing serial out of range (flush {flush}, chunk {chunk})"
+    );
     let mut id = [0u8; 32];
-    id[..8].copy_from_slice(&flush.to_le_bytes());
+    id[..8].copy_from_slice(&(flush | chunk << 40).to_le_bytes());
     id[8..16].copy_from_slice(&chunk.to_le_bytes());
     id[16] = 0xEE;
     TokenId(id)

@@ -35,7 +35,7 @@ pub struct Options {
     /// value — only wall-clock time changes.
     pub threads: usize,
     /// Probe advancement mode (`--probe-mode`); lazy and eager are
-    /// bit-identical under the default per-node probe RNG.
+    /// bit-identical (probe draws are position-keyed per node).
     pub probe_mode: ProbeMode,
     /// Fault injection applied to every run (`--fault-*`; all-zero rates =
     /// off, in which case runs are bit-identical to a fault-free build).
@@ -92,7 +92,12 @@ impl Default for Options {
 }
 
 impl Options {
-    fn base_config(&self, seed: u64) -> ScenarioConfig {
+    /// The scenario every run of these options starts from: the quick or
+    /// paper-scale base at `seed`, with every option applied. Experiments
+    /// override their own axes on top; `idpa-sim service` applies its
+    /// service-only flags on top.
+    #[must_use]
+    pub fn base_config(&self, seed: u64) -> ScenarioConfig {
         let base = if self.quick {
             ScenarioConfig::quick_test(seed)
         } else {

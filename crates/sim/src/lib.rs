@@ -53,8 +53,8 @@ pub use formation::{
 pub use idpa_desim::{AdversaryConfig, AdversaryPlan, FaultConfig, FaultResponse};
 pub use runner::{RunResult, SimulationRun};
 pub use scenario::{
-    BankDurability, CostStorage, NodeLifecycle, ProbeMode, ProbeRngMode, ScenarioConfig,
-    SettlementMode, WorkloadMode,
+    BankDurability, CostStorage, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode,
+    WorkloadMode,
 };
 pub use service::{run_service, ServiceOptions};
 pub use slab::{NodeSlab, ReputationStore};

@@ -1,18 +1,11 @@
 //! `idpa-sim` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--quick] [--out DIR] [--list]
-//!          [--fault-crash P] [--fault-drop P] [--fault-delay P] [--fault-cheat F]
-//!          [--fault-bank-downtime F] [--fault-retries N] [--fault-timeout MIN]
-//!          [--fault-response static|adaptive] [--reputation-weight W]
-//!          [--settlement per-bundle|epoch] [--epoch-length MIN]
-//!          [--bank-durability off|wal] [--fault-bank-crash P]
-//!          [--fault-bank-crash-torn F]
-//!          [--adversary-free-riders F] [--adversary-whitewash F]
-//!          [--adversary-whitewash-interval MIN] [--adversary-cliques N]
-//!          [--adversary-clique-size K] [--adversary-forge-rate P]
-//!          [--adversary-age-discount] [--adversary-maturity MIN]
-//!          [--adversary-cross-check]
+//! idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--out DIR] [--list] [SCENARIO FLAGS]
+//! idpa-sim service [--seed N] [--workload closed|open] [--open-arrival-rate R]
+//!                  [--window-len MIN] [--window-warmup MIN] [--snapshot-every MIN]
+//!                  [--snapshot-path P] [--resume P] [--max-wall-secs S] [SCENARIO FLAGS]
+//! idpa-sim trace-export [SEED]
 //! ```
 //!
 //! With no experiment names, runs everything in the registry. Markdown
@@ -20,295 +13,361 @@
 //!
 //! `idpa-sim service [FLAGS]` runs one scenario as a crash-safe service
 //! instead: open or closed workload, periodic checkpoints, deterministic
-//! resume and graceful wall-clock shutdown (see `idpa-sim service --help`).
+//! resume and graceful wall-clock shutdown.
+//!
+//! Both subcommands read the scenario flags (`--quick`, the mode flags and
+//! every `--fault-*` and `--adversary-*` flag) from one table, [`SHARED`],
+//! into [`Options`], build the scenario with [`Options::base_config`] and
+//! validate it once with [`ScenarioConfig::validate`]. `--help` lists them.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::slice::Iter;
 
 use idpa_sim::experiments::{registry, Experiment, Options};
-use idpa_sim::{run_service, ServiceOptions};
+use idpa_sim::{
+    run_service, BankDurability, FaultResponse, NodeLifecycle, ProbeMode, ScenarioConfig,
+    ServiceOptions, SettlementMode, WorkloadMode,
+};
 
-/// Parses the next argument as the value of a `--fault-*` flag.
-fn fault_value(flag: &str, next: Option<&String>) -> Result<f64, ExitCode> {
-    match next.and_then(|s| s.parse::<f64>().ok()) {
-        Some(v) if v.is_finite() => Ok(v),
-        _ => {
-            eprintln!("{flag} needs a finite number");
-            Err(ExitCode::FAILURE)
+/// One command-line flag: its name, value placeholder, help text and how
+/// it writes its value into the parse target `T`.
+struct Flag<T> {
+    /// The flag as typed, e.g. `--fault-drop`.
+    name: &'static str,
+    /// Placeholder of the value in help output; empty for a switch.
+    arg: &'static str,
+    /// Help text; each `\n` continues on an indented line.
+    help: &'static str,
+    /// Parses the value (`""` for a switch) into the target. The error
+    /// names what the flag needs, e.g. "a finite number".
+    set: fn(&mut T, &str) -> Result<(), String>,
+}
+
+/// Stores a parsed value, or passes the parse error on.
+fn put<V>(slot: &mut V, value: Result<V, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn finite(v: &str) -> Result<f64, String> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| "a finite number".into())
+}
+
+fn int<V: std::str::FromStr>(v: &str) -> Result<V, String> {
+    v.parse().map_err(|_| "a non-negative integer".into())
+}
+
+fn path(v: &str) -> Result<PathBuf, String> {
+    if v.is_empty() {
+        Err("a path".into())
+    } else {
+        Ok(v.into())
+    }
+}
+
+/// The mode named `v` among `modes`.
+fn mode<M: Copy>(v: &str, modes: &[(&str, M)]) -> Result<M, String> {
+    modes
+        .iter()
+        .find(|(n, _)| *n == v)
+        .map(|&(_, m)| m)
+        .ok_or_else(|| {
+            let names: Vec<String> = modes.iter().map(|(n, _)| format!("'{n}'")).collect();
+            names.join(" or ")
+        })
+}
+
+/// The scenario flags both subcommands accept.
+#[rustfmt::skip]
+const SHARED: &[Flag<Options>] = &[
+    Flag { name: "--quick", arg: "", help: "quick-test scale (20 nodes, 20 pairs, 200 transmissions)",
+        set: |o, _| { o.quick = true; Ok(()) } },
+    Flag { name: "--probe-mode", arg: "MODE", help: "'lazy' (probe state materializes on demand, the\n\
+            default) or 'eager' (every node probes every tick);\nbit-identical results",
+        set: |o, v| put(&mut o.probe_mode, mode(v, &[("eager", ProbeMode::Eager), ("lazy", ProbeMode::Lazy)])) },
+    Flag { name: "--node-lifecycle", arg: "MODE", help: "'eager' (all N nodes allocated up front, the\n\
+            default) or 'lazy' (state materializes on first touch,\nevicts when idle; bit-identical results, bounded\nmemory)",
+        set: |o, v| put(&mut o.node_lifecycle, mode(v, &[("eager", NodeLifecycle::Eager), ("lazy", NodeLifecycle::Lazy)])) },
+    Flag { name: "--history-shards", arg: "N", help: "history-arena shard count (0 = one per worker\nthread; results identical at any N)",
+        set: |o, v| put(&mut o.history_shards, int(v)) },
+    Flag { name: "--settlement", arg: "MODE", help: "'per-bundle' (each bundle settles alone, the\n\
+            default) or 'epoch' (payouts netted and deposits\nbatched at epoch boundaries; identical economics,\n\
+            amortized bank load). Takes effect only with the\nevidence layer on (a --fault-* rate, an\n\
+            --adversary-* strategy or --bank-durability wal);\notherwise a warned no-op",
+        set: |o, v| put(&mut o.settlement, mode(v, &[("per-bundle", SettlementMode::PerBundle), ("epoch", SettlementMode::Epoch)])) },
+    Flag { name: "--epoch-length", arg: "MIN", help: "epoch length for '--settlement epoch'",
+        set: |o, v| put(&mut o.epoch_length, finite(v)) },
+    Flag { name: "--bank-durability", arg: "MODE", help: "'off' (the default) or 'wal' (write-ahead ledger\n\
+            log, torn-write crash recovery, warm failover\nreplica and the runtime invariant monitor)",
+        set: |o, v| put(&mut o.bank_durability, mode(v, &[("off", BankDurability::Off), ("wal", BankDurability::Wal)])) },
+    Flag { name: "--fault-crash", arg: "P", help: "per-hop forwarder crash probability",
+        set: |o, v| put(&mut o.fault.crash_rate, finite(v)) },
+    Flag { name: "--fault-drop", arg: "P", help: "per-edge message drop probability",
+        set: |o, v| put(&mut o.fault.drop_rate, finite(v)) },
+    Flag { name: "--fault-delay", arg: "P", help: "per-edge extra-delay probability",
+        set: |o, v| put(&mut o.fault.delay_rate, finite(v)) },
+    Flag { name: "--fault-delay-mean", arg: "MIN", help: "mean of the injected edge delay",
+        set: |o, v| put(&mut o.fault.delay_mean, finite(v)) },
+    Flag { name: "--fault-cheat", arg: "F", help: "fraction of nodes that cheat on confirmations",
+        set: |o, v| put(&mut o.fault.cheat_fraction, finite(v)) },
+    Flag { name: "--fault-cheat-corrupt-share", arg: "S", help: "share of cheats that corrupt (vs drop) receipts",
+        set: |o, v| put(&mut o.fault.cheat_corrupt_share, finite(v)) },
+    Flag { name: "--fault-bank-downtime", arg: "F", help: "long-run fraction of time the bank is down",
+        set: |o, v| put(&mut o.fault.bank_downtime, finite(v)) },
+    Flag { name: "--fault-bank-outage-mean", arg: "MIN", help: "mean length of one bank outage",
+        set: |o, v| put(&mut o.fault.bank_outage_mean, finite(v)) },
+    Flag { name: "--fault-bank-crash", arg: "P", help: "per-flush bank crash probability (kills the\n\
+            primary mid-epoch; needs --bank-durability wal,\nthe warm replica takes over)",
+        set: |o, v| put(&mut o.fault.bank_crash_rate, finite(v)) },
+    Flag { name: "--fault-bank-crash-torn", arg: "F", help: "share of bank crashes that tear the final WAL\n\
+            record (partial write, discarded by recovery)",
+        set: |o, v| put(&mut o.fault.bank_crash_torn_share, finite(v)) },
+    Flag { name: "--fault-retries", arg: "N", help: "max retransmission attempts per message",
+        set: |o, v| put(&mut o.fault.max_retries, int(v)) },
+    Flag { name: "--fault-timeout", arg: "MIN", help: "base retry timeout (exponential backoff)",
+        set: |o, v| put(&mut o.fault.retry_timeout, finite(v)) },
+    Flag { name: "--fault-response", arg: "MODE", help: "'static' (baseline retry protocol) or 'adaptive'\n\
+            (reputation-driven suppression, probe invalidation,\nescalated reformation)",
+        set: |o, v| put(&mut o.fault.response, mode(v, &[("static", FaultResponse::Static), ("adaptive", FaultResponse::Adaptive)])) },
+    Flag { name: "--reputation-weight", arg: "W", help: "w_r of the adaptive quality model\n\
+            q = w_s*sigma + w_a*alpha + w_r*rho, with w_s = w_a =\n(1 - w_r)/2 (0 = the paper's two-term model)",
+        set: |o, v| put(&mut o.reputation_weight, finite(v)) },
+    Flag { name: "--adversary-free-riders", arg: "F", help: "fraction of nodes that ghost forwarding duty",
+        set: |o, v| put(&mut o.adversary.free_rider_fraction, finite(v)) },
+    Flag { name: "--adversary-whitewash", arg: "F", help: "fraction of nodes that shed their identity",
+        set: |o, v| put(&mut o.adversary.whitewash_fraction, finite(v)) },
+    Flag { name: "--adversary-whitewash-interval", arg: "MIN", help: "mean minutes between rejoins",
+        set: |o, v| put(&mut o.adversary.whitewash_interval, finite(v)) },
+    Flag { name: "--adversary-cliques", arg: "N", help: "number of colluding cliques",
+        set: |o, v| put(&mut o.adversary.clique_count, int(v)) },
+    Flag { name: "--adversary-clique-size", arg: "K", help: "members per clique (>= 2)",
+        set: |o, v| put(&mut o.adversary.clique_size, int(v)) },
+    Flag { name: "--adversary-forge-rate", arg: "P", help: "per-connection phantom-forge probability",
+        set: |o, v| put(&mut o.adversary.clique_forge_rate, finite(v)) },
+    Flag { name: "--adversary-age-discount", arg: "", help: "defense: identity-age reputation discount",
+        set: |o, _| { o.adversary.whitewash_age_discount = true; Ok(()) } },
+    Flag { name: "--adversary-maturity", arg: "MIN", help: "minutes to full weight under the discount",
+        set: |o, v| put(&mut o.adversary.reputation_maturity, finite(v)) },
+    Flag { name: "--adversary-cross-check", arg: "", help: "defense: initiator cross-confirmation of manifest\nhops vs observed forwarders",
+        set: |o, _| { o.adversary.clique_cross_check = true; Ok(()) } },
+];
+
+/// The experiment runner's own flags (besides `--list` and `--help`).
+#[rustfmt::skip]
+const EXPERIMENT: &[Flag<Options>] = &[
+    Flag { name: "--reps", arg: "N", help: "replications per sweep point",
+        set: |o, v| put(&mut o.reps, int(v)) },
+    Flag { name: "--threads", arg: "N", help: "worker threads (0 = auto; results identical at any N)",
+        set: |o, v| put(&mut o.threads, int(v)) },
+    Flag { name: "--out", arg: "DIR", help: "directory for per-experiment CSVs",
+        set: |o, v| put(&mut o.out_dir, path(v)) },
+];
+
+/// The parsed command line of `idpa-sim service`.
+struct Service {
+    /// The scenario flags.
+    opts: Options,
+    seed: u64,
+    workload: WorkloadMode,
+    open_arrival_rate: f64,
+    window_len: f64,
+    window_warmup: f64,
+    svc: ServiceOptions,
+}
+
+impl Default for Service {
+    fn default() -> Self {
+        let cfg = ScenarioConfig::default();
+        Service {
+            // `IDPA_SVC_SMOKE=1` forces the quick tier — the verify.sh
+            // service smoke stage sets it so CI can't accidentally launch a
+            // paper-scale service run.
+            opts: Options {
+                quick: std::env::var("IDPA_SVC_SMOKE").is_ok_and(|v| v == "1"),
+                ..Options::default()
+            },
+            seed: cfg.seed,
+            workload: cfg.workload,
+            open_arrival_rate: cfg.open_arrival_rate,
+            window_len: cfg.window_len,
+            window_warmup: cfg.window_warmup,
+            svc: ServiceOptions::default(),
         }
     }
 }
 
-/// `idpa-sim service`: run one scenario as a crash-safe service.
-#[allow(clippy::too_many_lines)] // one linear flag loop, mirrors main()
-fn service_main(args: &[String]) -> ExitCode {
-    let mut seed = 1u64;
-    // `IDPA_SVC_SMOKE=1` forces the quick tier — the verify.sh service
-    // smoke stage sets it so CI can't accidentally launch a paper-scale
-    // service run.
-    let mut quick = std::env::var("IDPA_SVC_SMOKE").is_ok_and(|v| v == "1");
-    let mut cfg_mut: Vec<Box<dyn FnOnce(&mut idpa_sim::ScenarioConfig)>> = Vec::new();
-    let mut svc = ServiceOptions::default();
+impl Service {
+    /// The scenario the experiments would run at this seed, with the
+    /// service-only flags applied on top.
+    fn config(&self) -> ScenarioConfig {
+        ScenarioConfig {
+            workload: self.workload,
+            open_arrival_rate: self.open_arrival_rate,
+            window_len: self.window_len,
+            window_warmup: self.window_warmup,
+            ..self.opts.base_config(self.seed)
+        }
+    }
+}
 
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
+/// The service's own flags (besides `--help`).
+#[rustfmt::skip]
+const SERVICE: &[Flag<Service>] = &[
+    Flag { name: "--seed", arg: "N", help: "master seed",
+        set: |s, v| put(&mut s.seed, int(v)) },
+    Flag { name: "--workload", arg: "MODE", help: "'closed' (the paper's fixed 2000-transmission\n\
+            schedule, the default) or 'open' (Poisson\nconnection-request arrivals per pair)",
+        set: |s, v| put(&mut s.workload, mode(v, &[("closed", WorkloadMode::Closed), ("open", WorkloadMode::Open)])) },
+    Flag { name: "--open-arrival-rate", arg: "R", help: "per-pair arrival rate, requests per minute",
+        set: |s, v| put(&mut s.open_arrival_rate, finite(v)) },
+    Flag { name: "--window-len", arg: "MIN", help: "steady-state metric window length (0 = off)",
+        set: |s, v| put(&mut s.window_len, finite(v)) },
+    Flag { name: "--window-warmup", arg: "MIN", help: "start-up transient trimmed before window 0",
+        set: |s, v| put(&mut s.window_warmup, finite(v)) },
+    Flag { name: "--snapshot-every", arg: "MIN", help: "checkpoint every MIN simulated minutes",
+        set: |s, v| { s.svc.snapshot_every = Some(finite(v)?); Ok(()) } },
+    Flag { name: "--snapshot-path", arg: "P", help: "checkpoint file (written atomically)",
+        set: |s, v| { s.svc.snapshot_path = Some(path(v)?); Ok(()) } },
+    Flag { name: "--resume", arg: "P", help: "resume from a checkpoint (same scenario flags!)",
+        set: |s, v| { s.svc.resume = Some(path(v)?); Ok(()) } },
+    Flag { name: "--max-wall-secs", arg: "S", help: "graceful shutdown: stop, checkpoint, report\npartial aggregates with interrupted=true",
+        set: |s, v| { s.svc.max_wall_secs = Some(int(v)?); Ok(()) } },
+];
+
+/// Applies `arg` if `table` has it, taking its value (if any) from `rest`.
+/// Returns whether `table` had it.
+fn apply<T>(
+    table: &[Flag<T>],
+    target: &mut T,
+    arg: &str,
+    rest: &mut Iter<String>,
+) -> Result<bool, String> {
+    let Some(flag) = table.iter().find(|f| f.name == arg) else {
+        return Ok(false);
+    };
+    let value = if flag.arg.is_empty() {
+        ""
+    } else {
+        rest.next().map_or("", String::as_str)
+    };
+    (flag.set)(target, value).map_err(|needs| format!("{arg} needs {needs}"))?;
+    Ok(true)
+}
+
+/// One help line per flag of `table`.
+fn help<T>(table: &[Flag<T>]) -> String {
+    const COLUMN: usize = 32;
+    let mut out = String::new();
+    for f in table {
+        let lhs = format!("{} {}", f.name, f.arg);
+        let pad = if lhs.len() + 2 < COLUMN {
+            COLUMN - lhs.len()
+        } else {
+            2
+        };
+        let text = f.help.replace('\n', &format!("\n  {:COLUMN$}", ""));
+        out += &format!("  {lhs}{:pad$}{text}\n", "");
+    }
+    out
+}
+
+const SHARED_NOTE: &str =
+    "Every --fault-* and --adversary-* rate defaults to 0 = off; any nonzero \
+                           rate\nactivates the deterministic fault or adversary plan.";
+
+/// Parses the experiment runner's command line. `Ok(None)`: `--help` or
+/// `--list` already printed what was asked for.
+fn parse_experiments(args: &[String]) -> Result<Option<(Options, Vec<String>)>, String> {
+    let mut opts = Options::default();
+    let mut selected = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--seed" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--seed needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--quick" => quick = true,
-            "--workload" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("closed") => idpa_sim::WorkloadMode::Closed,
-                    Some("open") => idpa_sim::WorkloadMode::Open,
-                    _ => {
-                        eprintln!("--workload needs 'closed' or 'open'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.workload = mode));
-            }
-            "--open-arrival-rate"
-            | "--window-len"
-            | "--window-warmup"
-            | "--epoch-length"
-            | "--reputation-weight" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--open-arrival-rate" => c.open_arrival_rate = v,
-                    "--window-len" => c.window_len = v,
-                    "--window-warmup" => c.window_warmup = v,
-                    "--epoch-length" => c.epoch_length = v,
-                    _ => c.reputation_weight = v,
-                }));
-            }
-            "--probe-mode" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::ProbeMode::Eager,
-                    Some("lazy") => idpa_sim::ProbeMode::Lazy,
-                    _ => {
-                        eprintln!("--probe-mode needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.probe_mode = mode));
-            }
-            "--node-lifecycle" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::NodeLifecycle::Eager,
-                    Some("lazy") => idpa_sim::NodeLifecycle::Lazy,
-                    _ => {
-                        eprintln!("--node-lifecycle needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.node_lifecycle = mode));
-            }
-            "--settlement" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("per-bundle") => idpa_sim::SettlementMode::PerBundle,
-                    Some("epoch") => idpa_sim::SettlementMode::Epoch,
-                    _ => {
-                        eprintln!("--settlement needs 'per-bundle' or 'epoch'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.settlement = mode));
-            }
-            "--bank-durability" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("off") => idpa_sim::BankDurability::Off,
-                    Some("wal") => idpa_sim::BankDurability::Wal,
-                    _ => {
-                        eprintln!("--bank-durability needs 'off' or 'wal'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.bank_durability = mode));
-            }
-            "--history-shards" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--history-shards needs a non-negative integer (0 = auto)");
-                    return ExitCode::FAILURE;
-                };
-                cfg_mut.push(Box::new(move |c: &mut idpa_sim::ScenarioConfig| {
-                    c.history_shards = v;
-                }));
-            }
-            "--fault-crash"
-            | "--fault-drop"
-            | "--fault-delay"
-            | "--fault-delay-mean"
-            | "--fault-cheat"
-            | "--fault-cheat-corrupt-share"
-            | "--fault-bank-downtime"
-            | "--fault-bank-outage-mean"
-            | "--fault-bank-crash"
-            | "--fault-bank-crash-torn"
-            | "--fault-timeout" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--fault-crash" => c.fault.crash_rate = v,
-                    "--fault-drop" => c.fault.drop_rate = v,
-                    "--fault-delay" => c.fault.delay_rate = v,
-                    "--fault-delay-mean" => c.fault.delay_mean = v,
-                    "--fault-cheat" => c.fault.cheat_fraction = v,
-                    "--fault-cheat-corrupt-share" => c.fault.cheat_corrupt_share = v,
-                    "--fault-bank-downtime" => c.fault.bank_downtime = v,
-                    "--fault-bank-outage-mean" => c.fault.bank_outage_mean = v,
-                    "--fault-bank-crash" => c.fault.bank_crash_rate = v,
-                    "--fault-bank-crash-torn" => c.fault.bank_crash_torn_share = v,
-                    _ => c.fault.retry_timeout = v,
-                }));
-            }
-            "--fault-response" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("static") => idpa_sim::FaultResponse::Static,
-                    Some("adaptive") => idpa_sim::FaultResponse::Adaptive,
-                    _ => {
-                        eprintln!("--fault-response needs 'static' or 'adaptive'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.fault.response = mode));
-            }
-            "--adversary-free-riders"
-            | "--adversary-whitewash"
-            | "--adversary-whitewash-interval"
-            | "--adversary-forge-rate"
-            | "--adversary-maturity" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--adversary-free-riders" => c.adversary.free_rider_fraction = v,
-                    "--adversary-whitewash" => c.adversary.whitewash_fraction = v,
-                    "--adversary-whitewash-interval" => c.adversary.whitewash_interval = v,
-                    "--adversary-forge-rate" => c.adversary.clique_forge_rate = v,
-                    _ => c.adversary.reputation_maturity = v,
-                }));
-            }
-            "--adversary-cliques" | "--adversary-clique-size" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--adversary-cliques" => c.adversary.clique_count = v,
-                    _ => c.adversary.clique_size = v,
-                }));
-            }
-            "--adversary-age-discount" => {
-                cfg_mut.push(Box::new(|c| c.adversary.whitewash_age_discount = true));
-            }
-            "--adversary-cross-check" => {
-                cfg_mut.push(Box::new(|c| c.adversary.clique_cross_check = true));
-            }
-            "--fault-retries" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--fault-retries needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                cfg_mut.push(Box::new(move |c: &mut idpa_sim::ScenarioConfig| {
-                    c.fault.max_retries = v;
-                }));
-            }
-            "--snapshot-every" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                svc.snapshot_every = Some(v);
-            }
-            "--snapshot-path" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--snapshot-path needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                svc.snapshot_path = Some(v.into());
-            }
-            "--resume" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--resume needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                svc.resume = Some(v.into());
-            }
-            "--max-wall-secs" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--max-wall-secs needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                svc.max_wall_secs = Some(v);
+            "--list" => {
+                for (name, _) in registry() {
+                    println!("{name}");
+                }
+                return Ok(None);
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: idpa-sim service [--seed N] [--quick] \
-                     [--workload closed|open] [--open-arrival-rate R]\n\
-                     \u{20}       [--window-len MIN] [--window-warmup MIN] \
-                     [--snapshot-every MIN] [--snapshot-path P]\n\
-                     \u{20}       [--resume P] [--max-wall-secs S] [MODE + FAULT FLAGS]\n\n  \
-                     --workload MODE         'closed' (the paper's fixed 2000-transmission\n  \
-                     \u{20}                       schedule, the default) or 'open' (Poisson\n  \
-                     \u{20}                       connection-request arrivals per pair)\n  \
-                     --open-arrival-rate R   per-pair arrival rate, requests per minute\n  \
-                     --window-len MIN        steady-state metric window length (0 = off)\n  \
-                     --window-warmup MIN     start-up transient trimmed before window 0\n  \
-                     --snapshot-every MIN    checkpoint every MIN simulated minutes\n  \
-                     --snapshot-path P       checkpoint file (written atomically)\n  \
-                     --resume P              resume from a checkpoint (same scenario flags!)\n  \
-                     --max-wall-secs S       graceful shutdown: stop, checkpoint, report\n  \
-                     \u{20}                       partial aggregates with interrupted=true\n\n\
-                     mode + fault flags are the experiment runner's: --probe-mode,\n\
-                     --node-lifecycle, --settlement, --epoch-length, --bank-durability,\n\
-                     --history-shards, --reputation-weight and every --fault-* and\n\
-                     --adversary-* flag"
+                    "usage: idpa-sim [EXPERIMENT ...] [FLAGS]\n\n{}  --list{:26}list the experiments\n\n\
+                     scenario flags (shared with `idpa-sim service`):\n{}\n{SHARED_NOTE}",
+                    help(EXPERIMENT),
+                    "",
+                    help(SHARED)
                 );
-                return ExitCode::SUCCESS;
+                return Ok(None);
             }
+            name if !name.starts_with('-') => selected.push(name.to_string()),
             other => {
-                eprintln!("unknown service flag: {other}");
-                return ExitCode::FAILURE;
+                if !(apply(SHARED, &mut opts, other, &mut rest)?
+                    || apply(EXPERIMENT, &mut opts, other, &mut rest)?)
+                {
+                    return Err(format!("unknown flag: {other}"));
+                }
             }
         }
     }
+    Ok(Some((opts, selected)))
+}
 
-    let mut cfg = if quick {
-        idpa_sim::ScenarioConfig::quick_test(seed)
-    } else {
-        idpa_sim::ScenarioConfig {
-            seed,
-            ..idpa_sim::ScenarioConfig::default()
+/// Parses `idpa-sim service`'s command line. `Ok(None)`: `--help` already
+/// printed the usage.
+fn parse_service(args: &[String]) -> Result<Option<Service>, String> {
+    let mut service = Service::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--help" || arg == "-h" {
+            println!(
+                "usage: idpa-sim service [FLAGS]\n\n{}\n\
+                 scenario flags (shared with the experiment runner):\n{}\n{SHARED_NOTE}",
+                help(SERVICE),
+                help(SHARED)
+            );
+            return Ok(None);
         }
-    };
-    for f in cfg_mut {
-        f(&mut cfg);
+        if !(apply(SERVICE, &mut service, arg, &mut rest)?
+            || apply(SHARED, &mut service.opts, arg, &mut rest)?)
+        {
+            return Err(format!("unknown service flag: {arg}"));
+        }
     }
+    Ok(Some(service))
+}
+
+/// Validates the scenario the flags describe, and warns when `--settlement
+/// epoch` has no evidence to settle.
+fn check(cfg: &ScenarioConfig) -> Result<(), String> {
+    cfg.validate().map_err(|e| e.to_string())?;
+    // Warn rather than fail: a run without the evidence layer is a
+    // legitimate baseline in fingerprint comparisons.
+    if cfg.settlement == SettlementMode::Epoch && !cfg.evidence_layer_active() {
+        eprintln!(
+            "warning: --settlement epoch has no effect without the evidence layer \
+             (enable a --fault-* rate, an --adversary-* strategy or --bank-durability \
+             wal); settlement metrics will be zero"
+        );
+    }
+    Ok(())
+}
+
+/// `idpa-sim service`: run one scenario as a crash-safe service.
+fn service_main(args: &[String]) -> Result<(), String> {
+    let Some(service) = parse_service(args)? else {
+        return Ok(());
+    };
+    let cfg = service.config();
+    check(&cfg)?;
 
     let started = std::time::Instant::now();
-    let result = match run_service(cfg, &svc) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("service run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = run_service(cfg, &service.svc).map_err(|e| format!("service run failed: {e}"))?;
 
-    println!("# idpa-sim service run (seed = {seed})\n");
+    println!("# idpa-sim service run (seed = {})\n", service.seed);
     println!("- simulated connections: {}", result.connections);
     println!("- delivery ratio: {:.4}", result.delivery_ratio);
     println!("- avg good payoff: {:.3}", result.avg_good_payoff);
@@ -341,326 +400,28 @@ fn service_main(args: &[String]) -> ExitCode {
         }
     }
     eprintln!("[service run done in {:.1?}]", started.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Trace tooling: `idpa-sim trace-export [SEED]` dumps the synthetic
-    // churn trace of the paper-scale scenario as CSV (stdout), in the
-    // format `idpa_netmodel::trace` re-imports for measured-trace replay.
-    if args.first().map(String::as_str) == Some("trace-export") {
-        let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let cfg = idpa_sim::ScenarioConfig {
-            seed,
-            ..idpa_sim::ScenarioConfig::default()
-        };
-        let world = idpa_sim::World::generate(&cfg);
-        print!("{}", idpa_netmodel::trace::to_csv(&world.schedules));
-        return ExitCode::SUCCESS;
-    }
-
-    // Service mode: `idpa-sim service [FLAGS]` — one scenario, run as a
-    // crash-safe open/closed-workload service with snapshot/resume.
-    if args.first().map(String::as_str) == Some("service") {
-        return service_main(&args[1..]);
-    }
-    let mut opts = Options::default();
-    let mut selected: Vec<String> = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--list" => {
-                for (name, _) in registry() {
-                    println!("{name}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--quick" => opts.quick = true,
-            "--reps" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--reps needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.reps = v;
-            }
-            "--threads" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.threads = v;
-            }
-            "--out" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                opts.out_dir = v.into();
-            }
-            "--history-shards" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--history-shards needs a non-negative integer (0 = auto)");
-                    return ExitCode::FAILURE;
-                };
-                opts.history_shards = v;
-            }
-            "--probe-mode" => {
-                opts.probe_mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::ProbeMode::Eager,
-                    Some("lazy") => idpa_sim::ProbeMode::Lazy,
-                    _ => {
-                        eprintln!("--probe-mode needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--node-lifecycle" => {
-                opts.node_lifecycle = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::NodeLifecycle::Eager,
-                    Some("lazy") => idpa_sim::NodeLifecycle::Lazy,
-                    _ => {
-                        eprintln!("--node-lifecycle needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--settlement" => {
-                opts.settlement = match iter.next().map(String::as_str) {
-                    Some("per-bundle") => idpa_sim::SettlementMode::PerBundle,
-                    Some("epoch") => idpa_sim::SettlementMode::Epoch,
-                    _ => {
-                        eprintln!("--settlement needs 'per-bundle' or 'epoch'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--epoch-length" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                if v <= 0.0 {
-                    eprintln!("--epoch-length must be positive (minutes)");
-                    return ExitCode::FAILURE;
-                }
-                opts.epoch_length = v;
-            }
-            "--bank-durability" => {
-                opts.bank_durability = match iter.next().map(String::as_str) {
-                    Some("off") => idpa_sim::BankDurability::Off,
-                    Some("wal") => idpa_sim::BankDurability::Wal,
-                    _ => {
-                        eprintln!("--bank-durability needs 'off' or 'wal'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--fault-crash"
-            | "--fault-drop"
-            | "--fault-delay"
-            | "--fault-delay-mean"
-            | "--fault-cheat"
-            | "--fault-cheat-corrupt-share"
-            | "--fault-bank-downtime"
-            | "--fault-bank-outage-mean"
-            | "--fault-bank-crash"
-            | "--fault-bank-crash-torn"
-            | "--fault-timeout" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let f = &mut opts.fault;
-                match arg.as_str() {
-                    "--fault-crash" => f.crash_rate = v,
-                    "--fault-drop" => f.drop_rate = v,
-                    "--fault-delay" => f.delay_rate = v,
-                    "--fault-delay-mean" => f.delay_mean = v,
-                    "--fault-cheat" => f.cheat_fraction = v,
-                    "--fault-cheat-corrupt-share" => f.cheat_corrupt_share = v,
-                    "--fault-bank-downtime" => f.bank_downtime = v,
-                    "--fault-bank-outage-mean" => f.bank_outage_mean = v,
-                    "--fault-bank-crash" => f.bank_crash_rate = v,
-                    "--fault-bank-crash-torn" => f.bank_crash_torn_share = v,
-                    _ => f.retry_timeout = v,
-                }
-            }
-            "--fault-response" => {
-                opts.fault.response = match iter.next().map(String::as_str) {
-                    Some("static") => idpa_sim::FaultResponse::Static,
-                    Some("adaptive") => idpa_sim::FaultResponse::Adaptive,
-                    _ => {
-                        eprintln!("--fault-response needs 'static' or 'adaptive'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--reputation-weight" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                if !(0.0..=1.0).contains(&v) {
-                    eprintln!("--reputation-weight must be in [0, 1]");
-                    return ExitCode::FAILURE;
-                }
-                opts.reputation_weight = v;
-            }
-            "--fault-retries" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--fault-retries needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.fault.max_retries = v;
-            }
-            "--adversary-free-riders"
-            | "--adversary-whitewash"
-            | "--adversary-whitewash-interval"
-            | "--adversary-forge-rate"
-            | "--adversary-maturity" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let a = &mut opts.adversary;
-                match arg.as_str() {
-                    "--adversary-free-riders" => a.free_rider_fraction = v,
-                    "--adversary-whitewash" => a.whitewash_fraction = v,
-                    "--adversary-whitewash-interval" => a.whitewash_interval = v,
-                    "--adversary-forge-rate" => a.clique_forge_rate = v,
-                    _ => a.reputation_maturity = v,
-                }
-            }
-            "--adversary-cliques" | "--adversary-clique-size" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--adversary-cliques" => opts.adversary.clique_count = v,
-                    _ => opts.adversary.clique_size = v,
-                }
-            }
-            "--adversary-age-discount" => opts.adversary.whitewash_age_discount = true,
-            "--adversary-cross-check" => opts.adversary.clique_cross_check = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--quick] \
-                     [--probe-mode eager|lazy] [--node-lifecycle eager|lazy] \
-                     [--history-shards N] [--out DIR] [--list] \
-                     [FAULT FLAGS]\n\n\
-                     --history-shards N            history-arena shard count (0 = one per\n\
-                     \u{20}                             worker thread; results identical at any N)\n  \
-                     --node-lifecycle MODE         'eager' (all N nodes allocated up front,\n  \
-                     \u{20}                             the default) or 'lazy' (state materializes\n  \
-                     \u{20}                             on first touch, evicts when idle;\n  \
-                     \u{20}                             bit-identical results, bounded memory)\n  \
-                     --settlement MODE             'per-bundle' (each bundle settles alone,\n  \
-                     \u{20}                             the default) or 'epoch' (payouts netted and\n  \
-                     \u{20}                             deposits batched at epoch boundaries;\n  \
-                     \u{20}                             identical economics, amortized bank load).\n  \
-                     \u{20}                             Takes effect only with fault injection\n  \
-                     \u{20}                             active (the settlement layer rides on the\n  \
-                     \u{20}                             evidence layer); otherwise a warned no-op\n  \
-                     --epoch-length MIN            epoch length for '--settlement epoch'\n  \
-                     --bank-durability MODE        'off' (the default) or 'wal' (write-ahead\n  \
-                     \u{20}                             ledger log, torn-write crash recovery,\n  \
-                     \u{20}                             warm failover replica and the runtime\n  \
-                     \u{20}                             invariant monitor)\n\n\
-                     fault injection (all rates default to 0 = off; any nonzero rate\n\
-                     activates the deterministic fault plan):\n  \
-                     --fault-crash P               per-hop forwarder crash probability\n  \
-                     --fault-drop P                per-edge message drop probability\n  \
-                     --fault-delay P               per-edge extra-delay probability\n  \
-                     --fault-delay-mean MIN        mean of the injected edge delay\n  \
-                     --fault-cheat F               fraction of nodes that cheat on confirmations\n  \
-                     --fault-cheat-corrupt-share S share of cheats that corrupt (vs drop) receipts\n  \
-                     --fault-bank-downtime F       long-run fraction of time the bank is down\n  \
-                     --fault-bank-outage-mean MIN  mean length of one bank outage\n  \
-                     --fault-bank-crash P          per-flush bank crash probability (kills the\n  \
-                     \u{20}                             primary mid-epoch; needs --bank-durability\n  \
-                     \u{20}                             wal, the warm replica takes over)\n  \
-                     --fault-bank-crash-torn F     share of bank crashes that tear the final\n  \
-                     \u{20}                             WAL record (partial write, discarded by\n  \
-                     \u{20}                             recovery)\n  \
-                     --fault-retries N             max retransmission attempts per message\n  \
-                     --fault-timeout MIN           base retry timeout (exponential backoff)\n  \
-                     --fault-response MODE         'static' (baseline retry protocol) or\n  \
-                     \u{20}                             'adaptive' (reputation-driven suppression,\n  \
-                     \u{20}                             probe invalidation, escalated reformation)\n  \
-                     --reputation-weight W         w_r of the adaptive quality model\n  \
-                     \u{20}                             q = w_s*sigma + w_a*alpha + w_r*rho\n  \
-                     \u{20}                             (0 = the paper's two-term model)\n\n\
-                     adversary strategy classes (all rates default to 0 = off; any\n\
-                     nonzero rate activates the deterministic adversary plan):\n  \
-                     --adversary-free-riders F     fraction of nodes that ghost forwarding duty\n  \
-                     --adversary-whitewash F       fraction of nodes that shed their identity\n  \
-                     --adversary-whitewash-interval MIN  mean minutes between rejoins\n  \
-                     --adversary-cliques N         number of colluding cliques\n  \
-                     --adversary-clique-size K     members per clique (>= 2)\n  \
-                     --adversary-forge-rate P      per-connection phantom-forge probability\n  \
-                     --adversary-age-discount      defense: identity-age reputation discount\n  \
-                     --adversary-maturity MIN      minutes to full weight under the discount\n  \
-                     --adversary-cross-check       defense: initiator cross-confirmation of\n  \
-                     \u{20}                             manifest hops vs observed forwarders"
-                );
-                return ExitCode::SUCCESS;
-            }
-            name if !name.starts_with('-') => selected.push(name.to_string()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Err(e) = opts.fault.validate() {
-        eprintln!("invalid fault configuration: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = opts.adversary.validate() {
-        eprintln!("invalid adversary configuration: {e}");
-        return ExitCode::FAILURE;
-    }
-    if opts.fault.bank_crash_rate > 0.0 && opts.bank_durability == idpa_sim::BankDurability::Off {
-        eprintln!(
-            "invalid fault configuration: --fault-bank-crash {} requires \
-             --bank-durability wal (a crash without a write-ahead log loses \
-             ledger state)",
-            opts.fault.bank_crash_rate
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // The settlement layer rides on the fault/evidence layer; without any
-    // fault rate there is no evidence to settle and epoch mode reports
-    // all-zero settlement metrics. Warn rather than fail: all-zero rates
-    // are a legitimate baseline in fingerprint comparisons.
-    if opts.settlement == idpa_sim::SettlementMode::Epoch && !opts.fault.is_active() {
-        eprintln!(
-            "warning: --settlement epoch has no effect without fault injection \
-             (enable at least one --fault-* rate to activate the evidence and \
-             settlement layers); settlement metrics will be zero"
-        );
-    }
+/// The experiment runner: run the selected experiments (all by default).
+fn experiments_main(args: &[String]) -> Result<(), String> {
+    let Some((opts, selected)) = parse_experiments(args)? else {
+        return Ok(());
+    };
+    check(&opts.base_config(1))?;
 
     let reg = registry();
     let to_run: Vec<&(&str, Experiment)> = if selected.is_empty() {
         reg.iter().collect()
     } else {
-        let mut picked = Vec::new();
-        for name in &selected {
-            match reg.iter().find(|(n, _)| n == name) {
-                Some(entry) => picked.push(entry),
-                None => {
-                    eprintln!("unknown experiment '{name}'; try --list");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        picked
+        selected
+            .iter()
+            .map(|name| {
+                reg.iter()
+                    .find(|(n, _)| n == name)
+                    .ok_or_else(|| format!("unknown experiment '{name}'; try --list"))
+            })
+            .collect::<Result<_, _>>()?
     };
 
     println!(
@@ -675,5 +436,147 @@ fn main() -> ExitCode {
         eprintln!("[{name} done in {:.1?}]", started.elapsed());
         println!("{output}");
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match args.first().map(String::as_str) {
+        // Trace tooling: `idpa-sim trace-export [SEED]` dumps the synthetic
+        // churn trace of the paper-scale scenario as CSV (stdout), in the
+        // format `idpa_netmodel::trace` re-imports for measured-trace replay.
+        Some("trace-export") => {
+            let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+            let cfg = ScenarioConfig {
+                seed,
+                ..ScenarioConfig::default()
+            };
+            let world = idpa_sim::World::generate(&cfg);
+            print!("{}", idpa_netmodel::trace::to_csv(&world.schedules));
+            Ok(())
+        }
+        Some("service") => service_main(&args[1..]),
+        _ => experiments_main(&args),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    /// A non-default value for every shared flag that takes one.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--probe-mode" => "eager",
+            "--node-lifecycle" => "lazy",
+            "--history-shards" | "--adversary-cliques" => "3",
+            "--fault-retries" => "5",
+            "--settlement" => "epoch",
+            "--bank-durability" => "wal",
+            "--fault-response" => "adaptive",
+            "--adversary-clique-size" => "4",
+            "--epoch-length"
+            | "--fault-delay-mean"
+            | "--fault-bank-outage-mean"
+            | "--fault-timeout"
+            | "--adversary-whitewash-interval"
+            | "--adversary-maturity" => "37.5",
+            other
+                if other.starts_with("--fault-")
+                    || other.starts_with("--adversary-")
+                    || other == "--reputation-weight" =>
+            {
+                "0.2"
+            }
+            other => panic!("no sample value for {other}"),
+        }
+    }
+
+    fn experiment_config(list: &[&str]) -> ScenarioConfig {
+        let (opts, _) = parse_experiments(&args(list))
+            .expect("experiment flags parse")
+            .expect("no --help");
+        opts.base_config(1)
+    }
+
+    fn service_config(list: &[&str]) -> ScenarioConfig {
+        let mut full = vec!["--seed", "1"];
+        full.extend_from_slice(list);
+        parse_service(&args(&full))
+            .expect("service flags parse")
+            .expect("no --help")
+            .config()
+    }
+
+    #[test]
+    fn every_shared_flag_gives_the_same_scenario_through_both_subcommands() {
+        // Both paths must start from the same scenario...
+        let base = experiment_config(&[]);
+        assert_eq!(service_config(&[]), base);
+        for flag in SHARED {
+            let list: Vec<&str> = if flag.arg.is_empty() {
+                vec![flag.name]
+            } else {
+                vec![flag.name, sample(flag.name)]
+            };
+            let exp = experiment_config(&list);
+            // ...and every flag must move it, identically in both.
+            assert_ne!(exp, base, "{} changed nothing", flag.name);
+            assert_eq!(service_config(&list), exp, "{} differs", flag.name);
+        }
+    }
+
+    #[test]
+    fn reputation_weight_validates_in_both_subcommands() {
+        let list = ["--quick", "--reputation-weight", "0.2"];
+        for cfg in [experiment_config(&list), service_config(&list)] {
+            assert_eq!(cfg.weights, (0.4, 0.4));
+            assert_eq!(cfg.reputation_weight, 0.2);
+            check(&cfg).expect("--reputation-weight 0.2 is a valid scenario");
+        }
+    }
+
+    #[test]
+    fn invalid_flag_combinations_fail_validation() {
+        let crash = experiment_config(&["--fault-bank-crash", "0.5"]);
+        assert!(check(&crash).unwrap_err().contains("--bank-durability wal"));
+        let weight = service_config(&["--reputation-weight", "1.5"]);
+        assert!(check(&weight).unwrap_err().contains("sum to 1"));
+    }
+
+    #[test]
+    fn malformed_values_and_unknown_flags_are_errors() {
+        let err = |r: Result<(), String>| r.expect_err("must fail");
+        assert_eq!(
+            err(parse_experiments(&args(&["--fault-drop", "x"])).map(|_| ())),
+            "--fault-drop needs a finite number"
+        );
+        assert_eq!(
+            err(parse_service(&args(&["--probe-mode", "fast"])).map(|_| ())),
+            "--probe-mode needs 'eager' or 'lazy'"
+        );
+        assert_eq!(
+            err(parse_service(&args(&["--resume"])).map(|_| ())),
+            "--resume needs a path"
+        );
+        assert_eq!(
+            err(parse_experiments(&args(&["--bogus"])).map(|_| ())),
+            "unknown flag: --bogus"
+        );
+        assert_eq!(
+            err(parse_service(&args(&["--reps", "3"])).map(|_| ())),
+            "unknown service flag: --reps"
+        );
+    }
 }

@@ -22,8 +22,13 @@
 //! manifest plus per-hop receipts with a [`PathValidator`], whose
 //! settlement-time replay reconstructs π, pays only validated instances and
 //! flags cheaters. All fault draws come from dedicated position-keyed
-//! streams, so a run with every rate zero is bit-identical to the
-//! fault-free code path.
+//! streams, never the routing stream.
+//!
+//! Faulty and fault-free transmissions share one path: the fault layer is
+//! an `Option` that is `None` unless a fault rate, an adversary strategy or
+//! the durable bank is active, and every fault step is skipped when it is.
+//! A fault-free run therefore makes exactly the routing draws and history
+//! commits of a run without the fault layer.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -32,7 +37,7 @@ use idpa_core::arena::HistoryArena;
 use idpa_core::bundle::{BundleAccounting, BundleId};
 use idpa_core::contract::Contract;
 use idpa_core::metrics::{self, DeliveryTracker, ReformationTracker};
-use idpa_core::path::{form_connection_pending, form_connection_with_scratch, PendingConnection};
+use idpa_core::path::{form_connection_pending, PendingConnection};
 use idpa_core::quality::{EdgeQuality, Weights};
 use idpa_core::reputation::EdgeReputation;
 use idpa_core::routing::{RouteScratch, RoutingView};
@@ -49,8 +54,7 @@ use std::sync::Arc;
 
 use crate::durability::BankDurabilityState;
 use crate::scenario::{
-    BankDurability, NodeLifecycle, ProbeMode, ProbeRngMode, ScenarioConfig, SettlementMode,
-    WorkloadMode,
+    BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, WorkloadMode,
 };
 use crate::slab::{NodeSlab, ReputationStore};
 use crate::window::WindowCollector;
@@ -542,23 +546,16 @@ pub struct SimulationRun {
     pub(crate) initiator_costs: Vec<f64>,
     quality: EdgeQuality,
     pub(crate) routing_rng: Xoshiro256StarStar,
-    /// The legacy shared probe stream (consumed only under
-    /// [`ProbeRngMode::SharedLegacy`]).
-    pub(crate) probe_rng: Xoshiro256StarStar,
-    /// Source of position-keyed probe draws under
-    /// [`ProbeRngMode::PerNode`].
+    /// Source of position-keyed draws (probes, arrivals, bundle keys).
     streams: StreamFactory,
     pub(crate) connections: u64,
     /// Routing buffers and memo caches, reused across all transmissions.
     scratch: RouteScratch,
-    /// Scratch for legacy neighbor maintenance: stale-neighbor list and a
-    /// node-membership mask, reused across nodes and ticks.
-    stale_scratch: Vec<NodeId>,
-    member_mask: Vec<bool>,
     /// Crash overlay: node `v` is unroutable until `crashed_until[v]`.
     /// Empty when fault injection is off (the zero-overhead fast path).
     pub(crate) crashed_until: Vec<f64>,
-    /// Fault-injection state; `None` runs the exact fault-free code path.
+    /// Fault-injection state; `None` when no fault rate, adversary strategy
+    /// or durable bank is active, which skips every fault step.
     pub(crate) fault: Option<FaultRuntime>,
     /// Idle-eviction sweeper (`Some` only under `--node-lifecycle lazy`).
     pub(crate) slab: Option<NodeSlab>,
@@ -612,10 +609,7 @@ impl SimulationRun {
         // delivery tracking, reputation ledgers), so an active adversary
         // plan forces the runtime on even with every fault rate zero — a
         // zero-rate FaultPlan consumes no streams and injects nothing.
-        let (crashed_until, fault) = if cfg.fault.is_active()
-            || cfg.adversary.is_active()
-            || cfg.bank_durability == BankDurability::Wal
-        {
+        let (crashed_until, fault) = if cfg.evidence_layer_active() {
             let plan = FaultPlan::new(cfg.fault, streams.clone(), cfg.n_nodes, cfg.churn.horizon);
             let adversary = cfg.adversary.is_active().then(|| {
                 AdversaryPlan::new(
@@ -682,12 +676,9 @@ impl SimulationRun {
             attacks: vec![IntersectionAttack::new(); n_pairs],
             initiator_costs: vec![0.0; n_pairs],
             routing_rng: streams.stream("routing"),
-            probe_rng: streams.stream("probing"),
             streams,
             connections: 0,
             scratch: RouteScratch::new(),
-            stale_scratch: Vec::new(),
-            member_mask: vec![false; cfg.n_nodes],
             crashed_until,
             fault,
             slab: (cfg.node_lifecycle == NodeLifecycle::Lazy)
@@ -821,26 +812,9 @@ impl SimulationRun {
             if !schedules[i].is_up(now) {
                 continue;
             }
-            match self.cfg.probe_rng {
-                ProbeRngMode::PerNode => {
-                    probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
-                    if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
-                        probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
-                    }
-                }
-                ProbeRngMode::SharedLegacy => {
-                    probe.probe_round(|v| schedules[v.index()].is_up(now), &mut self.probe_rng);
-                    if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
-                        maintain_neighbors_legacy(
-                            probe,
-                            &mut self.probe_rng,
-                            threshold,
-                            self.cfg.n_nodes,
-                            &mut self.stale_scratch,
-                            &mut self.member_mask,
-                        );
-                    }
-                }
+            probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
+            if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
+                probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
             }
         }
     }
@@ -900,18 +874,29 @@ impl SimulationRun {
             slab.maybe_sweep(set, now.minutes());
         }
         // take/put-back keeps the fault state out of `self` while the
-        // faulty path mutably borrows the rest of the run.
-        let Some(mut fr) = self.fault.take() else {
-            self.transmit_plain(now, pair, conn);
-            return;
-        };
-        self.transmit_with_faults(engine, now, pair, conn, attempt, &mut fr);
-        self.fault = Some(fr);
+        // attempt mutably borrows the rest of the run.
+        let mut fault = self.fault.take();
+        self.transmit(engine, now, pair, conn, attempt, fault.as_mut());
+        self.fault = fault;
     }
 
-    /// The fault-free transmission: bit-identical to the pre-fault-layer
-    /// code path (the crash overlay is empty, commit happens inline).
-    fn transmit_plain(&mut self, now: SimTime, pair: usize, conn: u32) {
+    /// One transmission attempt: form the path, then — only when the fault
+    /// layer is on — walk the faults forward (crash / drop / delay) and the
+    /// confirmation backward (cheaters). A failed attempt schedules a retry
+    /// with exponential backoff; a successful one completes the connection.
+    /// With the fault layer off (`fr` is `None`) the walk is skipped, so the
+    /// attempt consumes exactly the formation draws and commits exactly the
+    /// history records of a fault-free run.
+    fn transmit(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        now: SimTime,
+        pair: usize,
+        conn: u32,
+        attempt: u32,
+        mut fr: Option<&mut FaultRuntime>,
+    ) {
+        let adaptive = fr.as_deref().filter(|fr| fr.adaptive());
         let wl = &self.world.pairs[pair];
         let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
         let priors = self.bundles[pair].connections();
@@ -920,19 +905,21 @@ impl SimulationRun {
             probes: &self.probes,
             costs: &self.world.costs,
             crashed: &self.crashed_until,
-            reputation: None,
-            invalid: None,
-            age_discount: None,
+            reputation: adaptive.map(|fr| fr.reputation.get(wl.initiator.index())),
+            invalid: adaptive.map(|fr| &fr.probe_invalid),
+            age_discount: fr
+                .as_deref()
+                .and_then(|fr| fr.adversary.as_ref())
+                .filter(|p| p.config().whitewash_age_discount),
             now,
         };
-        let outcome = form_connection_with_scratch(
+        let pending = form_connection_pending(
             &mut self.scratch,
             wl.initiator,
-            conn,
             &contract,
             priors,
             &view,
-            &mut self.histories.exclusive(),
+            &self.histories.exclusive(),
             &self.world.kinds,
             &self.quality,
             self.cfg.good_strategy,
@@ -940,18 +927,19 @@ impl SimulationRun {
             &self.cfg.policy,
             &mut self.routing_rng,
         );
-        self.connections += 1;
-        self.initiator_costs[pair] += outcome.initiator_cost;
-        self.trackers[pair].record(&outcome.edges(wl.initiator, wl.responder));
-        if let Some(w) = self.windows.as_mut() {
-            w.record_delivered(now.minutes());
-            w.record_payoff(
-                now.minutes(),
-                outcome.forwarders.len() as f64 * self.world.pairs[pair].pf,
-            );
-        }
-        self.observe_attack(pair, &outcome.forwarders, now);
-        self.bundles[pair].record_connection(&outcome.forwarders, &outcome.hop_costs);
+        let corrupt_from = match fr.as_deref_mut() {
+            None => None,
+            Some(fr) => match self.walk_faults(now, pair, conn, attempt, &pending, fr) {
+                Ok(corrupt_from) => corrupt_from,
+                Err((kind, suspect)) => {
+                    self.fail_attempt(
+                        engine, now, pair, conn, attempt, &pending, kind, suspect, fr,
+                    );
+                    return;
+                }
+            },
+        };
+        self.complete_connection(now, pair, conn, attempt, pending, corrupt_from, fr);
     }
 
     /// Intersection attack: if any malicious node sat on the path, the
@@ -975,50 +963,20 @@ impl SimulationRun {
         }
     }
 
-    /// One transmission attempt under fault injection: form the path, walk
-    /// the faults forward (crash / drop / delay) and the confirmation
-    /// backward (cheaters), then either complete the connection or schedule
-    /// a retry with exponential backoff.
-    fn transmit_with_faults(
+    /// Walks one attempt's sampled faults over the formed path: forward
+    /// along the payload's edges, then back along the confirmation. Returns
+    /// the path position downstream of which a cheater corrupted the
+    /// receipts (if any), or what ended the attempt and the forwarder the
+    /// initiator blames for it.
+    fn walk_faults(
         &mut self,
-        engine: &mut Engine<Ev>,
         now: SimTime,
         pair: usize,
         conn: u32,
         attempt: u32,
+        pending: &PendingConnection,
         fr: &mut FaultRuntime,
-    ) {
-        let adaptive = fr.adaptive();
-        let wl = &self.world.pairs[pair];
-        let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
-        let priors = self.bundles[pair].connections();
-        let view = RunView {
-            schedules: &self.world.schedules,
-            probes: &self.probes,
-            costs: &self.world.costs,
-            crashed: &self.crashed_until,
-            reputation: adaptive.then(|| fr.reputation.get(wl.initiator.index())),
-            invalid: adaptive.then_some(&fr.probe_invalid),
-            age_discount: fr
-                .adversary
-                .as_ref()
-                .filter(|p| p.config().whitewash_age_discount),
-            now,
-        };
-        let pending = form_connection_pending(
-            &mut self.scratch,
-            wl.initiator,
-            &contract,
-            priors,
-            &view,
-            &self.histories.exclusive(),
-            &self.world.kinds,
-            &self.quality,
-            self.cfg.good_strategy,
-            self.cfg.adversary_strategy,
-            &self.cfg.policy,
-            &mut self.routing_rng,
-        );
+    ) -> Result<Option<usize>, (AttemptFailure, Option<NodeId>)> {
         let timeout = fr.plan.config().retry_timeout;
         let forwarders = &pending.outcome().forwarders;
         let n_edges = forwarders.len() + 1;
@@ -1027,8 +985,6 @@ impl SimulationRun {
                 .sample_transmission(pair as u64, u64::from(conn), u64::from(attempt), n_edges);
 
         // Forward walk: edge i carries the payload from position i to i+1.
-        let mut failure: Option<AttemptFailure> = None;
-        let mut suspect: Option<NodeId> = None;
         let mut cum_delay = 0.0f64;
         for (i, ef) in faults.edges.iter().enumerate() {
             // The sender of edge i >= 1 is forwarder f_i; the initiator
@@ -1040,20 +996,14 @@ impl SimulationRun {
                     .unwrap_or_else(|| now.minutes());
                 let slot = &mut self.crashed_until[v.index()];
                 *slot = slot.max(end);
-                failure = Some(AttemptFailure::Crash);
-                suspect = Some(v);
-                break;
+                return Err((AttemptFailure::Crash, Some(v)));
             }
             if ef.dropped {
-                failure = Some(AttemptFailure::Drop);
-                suspect = edge_suspect(forwarders, i);
-                break;
+                return Err((AttemptFailure::Drop, edge_suspect(forwarders, i)));
             }
             cum_delay += ef.delay;
             if cum_delay > timeout {
-                failure = Some(AttemptFailure::Timeout);
-                suspect = edge_suspect(forwarders, i);
-                break;
+                return Err((AttemptFailure::Timeout, edge_suspect(forwarders, i)));
             }
             // Free riders ghost their forwarding duty: the payload reaches
             // the receiving forwarder of edge i and dies there — after the
@@ -1066,9 +1016,7 @@ impl SimulationRun {
                     .is_some_and(|p| p.is_free_rider(forwarders[i].index()))
             {
                 fr.adv.free_rider_refusals += 1;
-                failure = Some(AttemptFailure::Drop);
-                suspect = Some(forwarders[i]);
-                break;
+                return Err((AttemptFailure::Drop, Some(forwarders[i])));
             }
         }
 
@@ -1076,105 +1024,116 @@ impl SimulationRun {
         // either swallows it (nothing upstream learns of the connection)
         // or corrupts every receipt strictly downstream of itself.
         let mut corrupt_from: Option<usize> = None;
-        if failure.is_none() {
-            for p in (1..=forwarders.len()).rev() {
-                if !fr.plan.is_cheater(forwarders[p - 1].index()) {
-                    continue;
+        for p in (1..=forwarders.len()).rev() {
+            if !fr.plan.is_cheater(forwarders[p - 1].index()) {
+                continue;
+            }
+            match fr
+                .plan
+                .cheat_action(pair as u64, u64::from(conn), u64::from(attempt), p as u64)
+            {
+                CheatAction::DropConfirmation => {
+                    return Err((
+                        AttemptFailure::ConfirmationDropped(p),
+                        Some(forwarders[p - 1]),
+                    ));
                 }
-                match fr.plan.cheat_action(
-                    pair as u64,
-                    u64::from(conn),
-                    u64::from(attempt),
-                    p as u64,
-                ) {
-                    CheatAction::DropConfirmation => {
-                        failure = Some(AttemptFailure::ConfirmationDropped(p));
-                        suspect = Some(forwarders[p - 1]);
-                        break;
-                    }
-                    CheatAction::CorruptReceipts => corrupt_from = Some(p),
-                }
+                CheatAction::CorruptReceipts => corrupt_from = Some(p),
             }
         }
+        Ok(corrupt_from)
+    }
 
-        match failure {
-            None => self.complete_connection(now, pair, conn, attempt, pending, corrupt_from, fr),
-            Some(kind) => {
-                // §2.2: no confirmation, no history — except the suffix a
-                // swallowed confirmation actually traversed.
-                if let AttemptFailure::ConfirmationDropped(p) = kind {
-                    pending.commit_suffix(
-                        p,
-                        contract.bundle,
-                        conn,
-                        &mut self.histories.exclusive(),
-                    );
-                }
-                // Adaptive response: charge the failure to the suspect's
-                // ledger and invalidate its probe-derived availability —
-                // immediately, not at session-end recovery. A crash masks
-                // until one probe period past the truncated session's end
-                // (the next round that could re-vouch for it); a drop or
-                // timeout masks for one probe period from now.
-                if adaptive {
-                    if let Some(v) = suspect {
-                        let initiator = self.world.pairs[pair].initiator;
-                        let rep = fr.reputation.get_mut(initiator.index());
-                        let horizon = match kind {
-                            AttemptFailure::Crash => {
-                                rep.record_drop(v);
-                                self.crashed_until[v.index()] + self.cfg.probe_period
-                            }
-                            AttemptFailure::Drop => {
-                                rep.record_drop(v);
-                                now.minutes() + self.cfg.probe_period
-                            }
-                            AttemptFailure::Timeout | AttemptFailure::ConfirmationDropped(_) => {
-                                rep.record_timeout(v);
-                                now.minutes() + self.cfg.probe_period
-                            }
-                        };
-                        fr.probe_invalid.invalidate(v.index(), horizon);
+    /// A failed attempt: commit the history a swallowed confirmation did
+    /// reach, charge the suspect under the adaptive response, then either
+    /// schedule the retry or abandon the message.
+    #[allow(clippy::too_many_arguments)]
+    fn fail_attempt(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        now: SimTime,
+        pair: usize,
+        conn: u32,
+        attempt: u32,
+        pending: &PendingConnection,
+        kind: AttemptFailure,
+        suspect: Option<NodeId>,
+        fr: &mut FaultRuntime,
+    ) {
+        let adaptive = fr.adaptive();
+        let timeout = fr.plan.config().retry_timeout;
+        // §2.2: no confirmation, no history — except the suffix a
+        // swallowed confirmation actually traversed.
+        if let AttemptFailure::ConfirmationDropped(p) = kind {
+            pending.commit_suffix(
+                p,
+                BundleId(pair as u64),
+                conn,
+                &mut self.histories.exclusive(),
+            );
+        }
+        // Adaptive response: charge the failure to the suspect's ledger and
+        // invalidate its probe-derived availability — immediately, not at
+        // session-end recovery. A crash masks until one probe period past
+        // the truncated session's end (the next round that could re-vouch
+        // for it); a drop or timeout masks for one probe period from now.
+        if adaptive {
+            if let Some(v) = suspect {
+                let initiator = self.world.pairs[pair].initiator;
+                let rep = fr.reputation.get_mut(initiator.index());
+                let horizon = match kind {
+                    AttemptFailure::Crash => {
+                        rep.record_drop(v);
+                        self.crashed_until[v.index()] + self.cfg.probe_period
                     }
-                }
-                if attempt < fr.plan.config().max_retries {
-                    fr.delivery.record_retry();
-                    if let Some(w) = self.windows.as_mut() {
-                        w.record_retry(now.minutes());
+                    AttemptFailure::Drop => {
+                        rep.record_drop(v);
+                        now.minutes() + self.cfg.probe_period
                     }
-                    // Static: exponential backoff on the same schedule every
-                    // retry. Adaptive: once the suspect is suppressed the
-                    // next formation excludes it, so escalate straight to
-                    // reformation with a flat backoff instead of waiting
-                    // out the exponential schedule.
-                    let reform_now = adaptive
-                        && suspect.is_some_and(|v| {
-                            let initiator = self.world.pairs[pair].initiator;
-                            fr.reputation.get(initiator.index()).is_suppressed(v)
-                        });
-                    let backoff = if reform_now {
-                        timeout
-                    } else {
-                        timeout * f64::from(2u32.pow(attempt))
-                    };
-                    engine.schedule_in(
-                        backoff,
-                        Ev::Retry {
-                            pair,
-                            conn,
-                            attempt: attempt + 1,
-                        },
-                    );
-                } else {
-                    fr.delivery.record_abandoned();
-                }
+                    AttemptFailure::Timeout | AttemptFailure::ConfirmationDropped(_) => {
+                        rep.record_timeout(v);
+                        now.minutes() + self.cfg.probe_period
+                    }
+                };
+                fr.probe_invalid.invalidate(v.index(), horizon);
             }
+        }
+        if attempt < fr.plan.config().max_retries {
+            fr.delivery.record_retry();
+            if let Some(w) = self.windows.as_mut() {
+                w.record_retry(now.minutes());
+            }
+            // Static: exponential backoff on the same schedule every retry.
+            // Adaptive: once the suspect is suppressed the next formation
+            // excludes it, so escalate straight to reformation with a flat
+            // backoff instead of waiting out the exponential schedule.
+            let reform_now = adaptive
+                && suspect.is_some_and(|v| {
+                    let initiator = self.world.pairs[pair].initiator;
+                    fr.reputation.get(initiator.index()).is_suppressed(v)
+                });
+            let backoff = if reform_now {
+                timeout
+            } else {
+                timeout * f64::from(2u32.pow(attempt))
+            };
+            engine.schedule_in(
+                backoff,
+                Ev::Retry {
+                    pair,
+                    conn,
+                    attempt: attempt + 1,
+                },
+            );
+        } else {
+            fr.delivery.record_abandoned();
         }
     }
 
-    /// The confirmation reached `I`: commit history, settle accounting and
-    /// deposit the §5 evidence (manifest + receipts, corrupted downstream
-    /// of `corrupt_from` when a cheater acted).
+    /// The confirmation reached `I`: commit history and settle accounting.
+    /// With the fault layer on, also track delivery and deposit the §5
+    /// evidence (manifest + receipts, corrupted downstream of
+    /// `corrupt_from` when a cheater acted).
     #[allow(clippy::too_many_arguments)]
     fn complete_connection(
         &mut self,
@@ -1184,23 +1143,17 @@ impl SimulationRun {
         attempt: u32,
         pending: PendingConnection,
         corrupt_from: Option<usize>,
-        fr: &mut FaultRuntime,
+        fr: Option<&mut FaultRuntime>,
     ) {
         let wl = &self.world.pairs[pair];
         let responder = wl.responder;
-        let bundle = BundleId(pair as u64);
-        pending.commit(bundle, conn, &mut self.histories.exclusive());
+        pending.commit(BundleId(pair as u64), conn, &mut self.histories.exclusive());
         let outcome = pending.into_outcome();
         self.connections += 1;
         self.initiator_costs[pair] += outcome.initiator_cost;
         self.trackers[pair].record(&outcome.edges(wl.initiator, wl.responder));
         self.observe_attack(pair, &outcome.forwarders, now);
         self.bundles[pair].record_connection(&outcome.forwarders, &outcome.hop_costs);
-
-        let scheduled = self.world.pairs[pair].times[conn as usize];
-        fr.delivery
-            .record_delivered(now.minutes() - scheduled, attempt > 0);
-        fr.last_completion[pair] = now.minutes();
         if let Some(w) = self.windows.as_mut() {
             w.record_delivered(now.minutes());
             w.record_payoff(
@@ -1208,6 +1161,14 @@ impl SimulationRun {
                 outcome.forwarders.len() as f64 * self.world.pairs[pair].pf,
             );
         }
+        let Some(fr) = fr else {
+            return;
+        };
+
+        let scheduled = self.world.pairs[pair].times[conn as usize];
+        fr.delivery
+            .record_delivered(now.minutes() - scheduled, attempt > 0);
+        fr.last_completion[pair] = now.minutes();
 
         // §5 evidence: the responder's MAC'd path manifest plus per-hop
         // receipts; a corrupting cheater destroys every receipt strictly
@@ -1696,53 +1657,6 @@ impl SimulationRun {
             fr.adv.whitewash_evasions += 1;
         }
         fr.probe_invalid.forgive(node);
-    }
-}
-
-/// The pre-PR-2 neighbor-maintenance pass, kept for
-/// [`ProbeRngMode::SharedLegacy`] reproducibility: replaces neighbors
-/// silent for `threshold`+ rounds with candidates drawn from the shared
-/// probe stream. `stale` and `mask` are caller-owned scratch (the mask must
-/// be all-false on entry, sized to `n_nodes`; it is restored to all-false
-/// on exit), so the pass allocates nothing and candidate rejection is O(1)
-/// instead of an O(d) `contains` scan.
-fn maintain_neighbors_legacy(
-    probe: &mut ProbeEstimator,
-    rng: &mut Xoshiro256StarStar,
-    threshold: u64,
-    n_nodes: usize,
-    stale: &mut Vec<NodeId>,
-    mask: &mut [bool],
-) {
-    stale.clear();
-    stale.extend(
-        probe
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&v| probe.rounds_since_alive(v).is_some_and(|r| r >= threshold)),
-    );
-    if stale.is_empty() {
-        return;
-    }
-    for v in probe.neighbors() {
-        mask[v.index()] = true;
-    }
-    for &old in stale.iter() {
-        // Draw a replacement: not self, not already a neighbor.
-        let candidate = (0..16).find_map(|_| {
-            let c = NodeId(rng.random_range(0..n_nodes));
-            (c != probe.owner() && !mask[c.index()]).then_some(c)
-        });
-        if let Some(new) = candidate {
-            if probe.replace_neighbor(old, new) {
-                mask[old.index()] = false;
-                mask[new.index()] = true;
-            }
-        }
-    }
-    for v in probe.neighbors() {
-        mask[v.index()] = false;
     }
 }
 

@@ -25,23 +25,9 @@ pub enum ProbeMode {
     /// Event-driven lazy estimation: per-node probe cells are materialized
     /// on demand from the analytic churn schedule when read (or when a
     /// neighbor replacement falls due) — amortized O(churn + queries),
-    /// bit-identical to `Eager` under [`ProbeRngMode::PerNode`].
+    /// bit-identical to `Eager`: probe draws come from position-keyed
+    /// per-node streams, so both modes consume identical bits.
     Lazy,
-}
-
-/// Where probe randomness (first-sighting draws, replacement candidates)
-/// comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeRngMode {
-    /// Position-keyed per-node streams: the draw for (owner, slot, round)
-    /// is a pure function of the master seed, so eager and lazy advancement
-    /// consume identical bits. The compat mode in which `--probe-mode
-    /// eager` and `--probe-mode lazy` produce bit-identical results.
-    PerNode,
-    /// The pre-PR-2 behaviour: one shared sequential `probing` stream
-    /// consumed in node order each tick. Kept for reproducing old runs;
-    /// only meaningful under [`ProbeMode::Eager`].
-    SharedLegacy,
 }
 
 /// How per-node runtime state (probe cells, reputation ledgers) is
@@ -186,9 +172,6 @@ pub struct ScenarioConfig {
     /// How probe state advances: eager per-tick sweep or event-driven lazy
     /// materialization (the default).
     pub probe_mode: ProbeMode,
-    /// Source of probe randomness; `PerNode` (the default) makes eager and
-    /// lazy modes bit-identical.
-    pub probe_rng: ProbeRngMode,
     /// Deterministic fault injection (all-zero rates = faults off, and the
     /// run is bit-identical to a build without the fault layer).
     pub fault: FaultConfig,
@@ -219,9 +202,9 @@ pub struct ScenarioConfig {
     pub evict_idle_ticks: u64,
     /// When payment evidence settles against the bank (`--settlement`):
     /// per bundle after the horizon (the default) or batched at epoch
-    /// boundaries. Meaningful only when fault injection is active (that is
-    /// when the §5 evidence layer runs); economics are identical in both
-    /// modes.
+    /// boundaries. Meaningful only when the §5 evidence layer runs (see
+    /// [`ScenarioConfig::evidence_layer_active`]); economics are identical
+    /// in both modes.
     pub settlement: SettlementMode,
     /// Epoch length in minutes under [`SettlementMode::Epoch`]
     /// (`--epoch-length`). Must be positive in epoch mode; ignored
@@ -290,7 +273,6 @@ impl Default for ScenarioConfig {
             history_capacity: None,
             neighbor_replacement_rounds: None,
             probe_mode: ProbeMode::Lazy,
-            probe_rng: ProbeRngMode::PerNode,
             fault: FaultConfig::default(),
             adversary: AdversaryConfig::default(),
             history_shards: 0,
@@ -401,11 +383,6 @@ impl ScenarioConfig {
         )?;
         if self.probe_mode == ProbeMode::Lazy {
             ensure(
-                self.probe_rng == ProbeRngMode::PerNode,
-                "probe_rng",
-                "lazy probing requires per-node probe RNG streams".into(),
-            )?;
-            ensure(
                 self.neighbor_replacement_rounds != Some(0),
                 "neighbor_replacement_rounds",
                 "lazy probing requires a replacement threshold >= 1".into(),
@@ -416,11 +393,6 @@ impl ScenarioConfig {
                 self.evict_idle_ticks >= 1,
                 "evict_idle_ticks",
                 "lazy lifecycle needs an idle-eviction window >= 1 tick".into(),
-            )?;
-            ensure(
-                self.probe_rng == ProbeRngMode::PerNode,
-                "probe_rng",
-                "lazy lifecycle requires per-node probe RNG streams".into(),
             )?;
         }
         if self.settlement == SettlementMode::Epoch {
@@ -550,6 +522,17 @@ impl ScenarioConfig {
         // `--bank-durability wal` on its own is fine: it forces the
         // settlement runtime on (a zero-rate fault plan injects nothing),
         // so the durable ledger always has a settlement flow to mirror.
+    }
+
+    /// Whether the run carries the §5 evidence layer (receipts, path
+    /// validation, settlement): any active fault rate, any active adversary
+    /// strategy, or a durable bank turns it on. Without it there is nothing
+    /// to settle, so `--settlement epoch` has no effect.
+    #[must_use]
+    pub fn evidence_layer_active(&self) -> bool {
+        self.fault.is_active()
+            || self.adversary.is_active()
+            || self.bank_durability == BankDurability::Wal
     }
 
     /// A scaled-down scenario for fast tests: 20 nodes, 20 pairs,
@@ -769,16 +752,6 @@ mod tests {
     fn default_probe_mode_is_lazy_per_node() {
         let cfg = ScenarioConfig::default();
         assert_eq!(cfg.probe_mode, ProbeMode::Lazy);
-        assert_eq!(cfg.probe_rng, ProbeRngMode::PerNode);
-    }
-
-    #[test]
-    fn lazy_with_shared_rng_rejected() {
-        let cfg = ScenarioConfig {
-            probe_rng: ProbeRngMode::SharedLegacy,
-            ..ScenarioConfig::default()
-        };
-        assert_rejected(&cfg, "probe_rng", "per-node probe RNG");
     }
 
     #[test]
@@ -809,12 +782,6 @@ mod tests {
             ..cfg
         };
         assert_rejected(&bad, "evict_idle_ticks", "idle-eviction window");
-        let legacy = ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
-            probe_rng: ProbeRngMode::SharedLegacy,
-            ..cfg
-        };
-        assert_rejected(&legacy, "probe_rng", "per-node probe RNG");
     }
 
     #[test]
@@ -958,15 +925,5 @@ mod tests {
         active.adversary.clique_forge_rate = 0.5;
         active.validate().expect("clique scenario must validate");
         assert!(active.adversary.is_active());
-    }
-
-    #[test]
-    fn eager_legacy_combination_validates() {
-        let cfg = ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
-            probe_rng: ProbeRngMode::SharedLegacy,
-            ..ScenarioConfig::default()
-        };
-        cfg.validate().expect("eager legacy mode is valid");
     }
 }

@@ -198,18 +198,10 @@ pub fn run_service(cfg: ScenarioConfig, opts: &ServiceOptions) -> Result<RunResu
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::scenario::ProbeRngMode;
-
-    fn cfg(seed: u64) -> ScenarioConfig {
-        ScenarioConfig {
-            probe_rng: ProbeRngMode::PerNode,
-            ..ScenarioConfig::quick_test(seed)
-        }
-    }
 
     #[test]
     fn plain_service_run_matches_execute() {
-        let c = cfg(3);
+        let c = ScenarioConfig::quick_test(3);
         let baseline = SimulationRun::execute(c);
         let service = run_service(c, &ServiceOptions::default()).expect("service run");
         assert_eq!(baseline, service);
@@ -221,7 +213,7 @@ mod tests {
         let dir = std::env::temp_dir().join("idpa-svc-test-ckpt");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.snap");
-        let c = cfg(4);
+        let c = ScenarioConfig::quick_test(4);
         let baseline = SimulationRun::execute(c);
         let opts = ServiceOptions {
             snapshot_every: Some(c.churn.horizon / 7.0),
@@ -249,7 +241,7 @@ mod tests {
         let dir = std::env::temp_dir().join("idpa-svc-test-wall");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.snap");
-        let c = cfg(5);
+        let c = ScenarioConfig::quick_test(5);
         let opts = ServiceOptions {
             snapshot_path: Some(path.clone()),
             max_wall_secs: Some(0),
@@ -273,7 +265,7 @@ mod tests {
 
     #[test]
     fn options_are_validated() {
-        let c = cfg(6);
+        let c = ScenarioConfig::quick_test(6);
         let e = run_service(
             c,
             &ServiceOptions {

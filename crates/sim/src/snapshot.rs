@@ -2,7 +2,7 @@
 //!
 //! [`encode`] serializes the **complete mutable trajectory state** of a
 //! [`SimulationRun`] plus its [`Engine`] — the calendar with original
-//! sequence numbers, both sequential RNG cursors, the history arena, the
+//! sequence numbers, the sequential routing RNG cursor, the history arena, the
 //! bundle/tracker/attack accumulators, probe state in either mode, the
 //! fault runtime (delivery counters, evidence, fault ledgers, epoch
 //! cursors) and the windowed-metrics buckets — into one framed byte
@@ -62,7 +62,7 @@ use crate::world::World;
 /// Snapshot format version; bumped on any layout change so a stale
 /// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
 /// misdecoding.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -276,11 +276,8 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         e.u64(*c);
     }
 
-    // The two sequential RNG cursors.
+    // The sequential routing RNG cursor.
     for w in run.routing_rng.state() {
-        e.u64(w);
-    }
-    for w in run.probe_rng.state() {
         e.u64(w);
     }
 
@@ -625,12 +622,7 @@ pub fn restore(
     for w in &mut routing_state {
         *w = d.u64().map_err(codec)?;
     }
-    let mut probe_state = [0u64; 4];
-    for w in &mut probe_state {
-        *w = d.u64().map_err(codec)?;
-    }
     run.routing_rng = Xoshiro256StarStar::from_state(routing_state);
-    run.probe_rng = Xoshiro256StarStar::from_state(probe_state);
 
     run.connections = d.u64().map_err(codec)?;
 
@@ -1115,15 +1107,8 @@ pub fn restore(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::scenario::{BankDurability, ProbeRngMode, WorkloadMode};
+    use crate::scenario::{BankDurability, WorkloadMode};
     use idpa_desim::{FaultConfig, SimTime, StopReason};
-
-    fn cfg(seed: u64) -> ScenarioConfig {
-        ScenarioConfig {
-            probe_rng: ProbeRngMode::PerNode,
-            ..ScenarioConfig::quick_test(seed)
-        }
-    }
 
     /// Run `cfg` to the horizon, snapshotting after `budget` events, then
     /// resume from the snapshot and check the final result matches the
@@ -1150,7 +1135,7 @@ mod tests {
 
     #[test]
     fn resume_matches_uninterrupted_fault_free() {
-        resume_matches(cfg(3), 100);
+        resume_matches(ScenarioConfig::quick_test(3), 100);
     }
 
     #[test]
@@ -1162,7 +1147,7 @@ mod tests {
                 delay_rate: 0.2,
                 ..FaultConfig::default()
             },
-            ..cfg(7)
+            ..ScenarioConfig::quick_test(7)
         };
         resume_matches(c, 250);
     }
@@ -1176,7 +1161,7 @@ mod tests {
                 bank_crash_rate: 0.2,
                 ..FaultConfig::default()
             },
-            ..cfg(11)
+            ..ScenarioConfig::quick_test(11)
         };
         resume_matches(c, 150);
     }
@@ -1190,7 +1175,7 @@ mod tests {
                 bank_crash_rate: 0.3,
                 ..FaultConfig::default()
             },
-            ..cfg(13)
+            ..ScenarioConfig::quick_test(13)
         };
         resume_matches(c, 200);
     }
@@ -1202,14 +1187,14 @@ mod tests {
             open_arrival_rate: 0.02,
             window_len: 200.0,
             window_warmup: 100.0,
-            ..cfg(11)
+            ..ScenarioConfig::quick_test(11)
         };
         resume_matches(c, 150);
     }
 
     #[test]
     fn snapshot_is_deterministic() {
-        let c = cfg(5);
+        let c = ScenarioConfig::quick_test(5);
         let mk = || {
             let world = World::generate(&c);
             let mut run = SimulationRun::new(c, world);
@@ -1224,7 +1209,7 @@ mod tests {
 
     #[test]
     fn wrong_config_is_rejected() {
-        let c = cfg(5);
+        let c = ScenarioConfig::quick_test(5);
         let world = World::generate(&c);
         let run = SimulationRun::new(c, world);
         let mut engine = Engine::new();
@@ -1244,7 +1229,7 @@ mod tests {
 
     #[test]
     fn truncation_and_flips_are_typed_errors() {
-        let c = cfg(9);
+        let c = ScenarioConfig::quick_test(9);
         let world = World::generate(&c);
         let mut run = SimulationRun::new(c, world);
         let mut engine = Engine::new();

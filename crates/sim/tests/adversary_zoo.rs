@@ -20,70 +20,11 @@
 use idpa_desim::{AdversaryConfig, Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
 use idpa_sim::{
-    NodeLifecycle, ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SettlementMode,
-    SimulationRun, World,
+    NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
 };
 
-/// FNV-1a over the pre-fault-layer result fields — the same fingerprint
-/// `tests/fault_injection.rs` and `tests/service_resume.rs` pin, duplicated
-/// so this suite stands alone.
-fn fingerprint(r: &RunResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for v in r
-        .good_payoffs
-        .iter()
-        .chain(&r.malicious_payoffs)
-        .chain(&r.node_totals)
-        .chain([
-            &r.avg_good_payoff,
-            &r.avg_forwarder_set,
-            &r.avg_path_length,
-            &r.avg_path_quality,
-            &r.routing_efficiency,
-            &r.new_edge_fraction,
-            &r.reformation_rate,
-            &r.attack_exposure_rate,
-            &r.avg_anonymity_degree,
-        ])
-    {
-        eat(v.to_bits());
-    }
-    eat(r.connections);
-    h
-}
-
-/// `(seed, replacement, fingerprint, avg_good_payoff bits)` — the PR 4
-/// pins, identical constants to `tests/fault_injection.rs`.
-const BASELINE: [(u64, Option<u64>, u64, u64); 6] = [
-    (1, None, 0xd51afc10a8e3c367, 0x40730bffb79ce582),
-    (1, Some(3), 0x172c5eda5998b960, 0x406d05c4bfa7690d),
-    (7, None, 0xb68cfd87107b7817, 0x4071c00b9e48bb2a),
-    (7, Some(3), 0x604446ccd329adb4, 0x406ddf312fe95040),
-    (42, None, 0x8e362e89db0da04a, 0x4074a18aa74a4ec1),
-    (42, Some(3), 0x4a5899e5e47b947e, 0x4072fbb62ff024b6),
-];
-
-fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
-    ScenarioConfig {
-        neighbor_replacement_rounds: replacement,
-        adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
-        ..ScenarioConfig::quick_test(seed)
-    }
-}
-
-fn run(cfg: ScenarioConfig) -> RunResult {
-    cfg.validate().expect("scenario must be valid");
-    SimulationRun::execute(cfg)
-}
+mod common;
+use common::{base, fingerprint, run, BASELINE};
 
 /// An explicitly all-zero adversary config — spelled out field by field so
 /// a future default-value change can't silently weaken the zero-rate pin.

@@ -8,64 +8,10 @@
 
 use idpa_desim::{Engine, FaultConfig, SimTime};
 use idpa_sim::snapshot::{encode, restore};
-use idpa_sim::{
-    BankDurability, ProbeRngMode, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
-};
+use idpa_sim::{BankDurability, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World};
 
-/// FNV-1a over the pre-fault-layer result fields — the same fingerprint
-/// `tests/fault_injection.rs` pins, duplicated so this suite stands alone.
-fn fingerprint(r: &RunResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for v in r
-        .good_payoffs
-        .iter()
-        .chain(&r.malicious_payoffs)
-        .chain(&r.node_totals)
-        .chain([
-            &r.avg_good_payoff,
-            &r.avg_forwarder_set,
-            &r.avg_path_length,
-            &r.avg_path_quality,
-            &r.routing_efficiency,
-            &r.new_edge_fraction,
-            &r.reformation_rate,
-            &r.attack_exposure_rate,
-            &r.avg_anonymity_degree,
-        ])
-    {
-        eat(v.to_bits());
-    }
-    eat(r.connections);
-    h
-}
-
-/// `(seed, replacement, fingerprint, avg_good_payoff bits)` — the PR 4
-/// pins, identical constants to `tests/fault_injection.rs`.
-const BASELINE: [(u64, Option<u64>, u64, u64); 6] = [
-    (1, None, 0xd51afc10a8e3c367, 0x40730bffb79ce582),
-    (1, Some(3), 0x172c5eda5998b960, 0x406d05c4bfa7690d),
-    (7, None, 0xb68cfd87107b7817, 0x4071c00b9e48bb2a),
-    (7, Some(3), 0x604446ccd329adb4, 0x406ddf312fe95040),
-    (42, None, 0x8e362e89db0da04a, 0x4074a18aa74a4ec1),
-    (42, Some(3), 0x4a5899e5e47b947e, 0x4072fbb62ff024b6),
-];
-
-fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
-    ScenarioConfig {
-        neighbor_replacement_rounds: replacement,
-        adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
-        ..ScenarioConfig::quick_test(seed)
-    }
-}
+mod common;
+use common::{base, fingerprint, BASELINE};
 
 /// A scenario with real settlement traffic and the durable bank on.
 fn durable(seed: u64, settlement: SettlementMode, shards: usize, crash: f64) -> ScenarioConfig {
@@ -200,4 +146,27 @@ fn durable_runs_replicate_bit_identically() {
     assert!(a.bank_crashes > 0, "crash class must fire at rate 0.3");
     assert!(a.bank_monitor_checks > 0);
     assert_eq!(a.bank_monitor_violations, 0);
+}
+
+/// An epoch that clears more than 1024 receipts splits its clearing
+/// deposits into several chunks. The audit log keeps only an 8-byte serial
+/// prefix, so the chunks' prefixes must differ too, or the monitor reports
+/// every extra chunk as a double deposit. One paper-scale day settled as a
+/// single epoch clears about 8k receipts.
+#[test]
+fn multi_chunk_epoch_flush_keeps_the_monitor_clean() {
+    let cfg = ScenarioConfig {
+        settlement: SettlementMode::Epoch,
+        epoch_length: 1440.0,
+        bank_durability: BankDurability::Wal,
+        ..ScenarioConfig::default()
+    };
+    cfg.validate().expect("epoch + WAL scenario must be valid");
+    let r = SimulationRun::execute(cfg);
+    assert!(
+        r.batch_verify_throughput > 0.0 && r.epoch_netting_ratio > 0.0,
+        "the epoch must settle"
+    );
+    assert_eq!(r.bank_monitor_violations, 0);
+    assert!(r.audit_chain_verified);
 }

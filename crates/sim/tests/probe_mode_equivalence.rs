@@ -1,70 +1,26 @@
-//! Integration pins for `--probe-mode`: in compat mode (per-node probe RNG
-//! streams, the default), a lazy run is **bit-identical** to an eager run —
+//! Integration pins for `--probe-mode`: with per-node probe RNG streams, a
+//! lazy run is **bit-identical** to an eager run —
 //! same payoffs, same paths, same attack metrics — with and without
 //! neighbor replacement, and replicated results are identical at any
 //! thread count.
 
 use idpa_sim::experiments::Options;
-use idpa_sim::{ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{ProbeMode, ScenarioConfig};
 
-/// FNV-1a over every f64 (bit pattern) and counter in the result, so "equal"
-/// means equal to the last bit, not approximately.
-fn fingerprint(r: &RunResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for v in r
-        .good_payoffs
-        .iter()
-        .chain(&r.malicious_payoffs)
-        .chain(&r.node_totals)
-        .chain([
-            &r.avg_good_payoff,
-            &r.avg_forwarder_set,
-            &r.avg_path_length,
-            &r.avg_path_quality,
-            &r.routing_efficiency,
-            &r.new_edge_fraction,
-            &r.reformation_rate,
-            &r.attack_exposure_rate,
-            &r.avg_anonymity_degree,
-        ])
-    {
-        eat(v.to_bits());
-    }
-    eat(r.connections);
-    h
-}
-
-fn run(cfg: ScenarioConfig) -> RunResult {
-    cfg.validate().expect("scenario must be valid");
-    SimulationRun::execute(cfg)
-}
+mod common;
+use common::{base, fingerprint, run};
 
 #[test]
 fn lazy_run_is_bit_identical_to_eager_run() {
     for seed in [1u64, 7, 42] {
         for replacement in [None, Some(3)] {
-            let base = ScenarioConfig {
-                neighbor_replacement_rounds: replacement,
-                adversary_fraction: 0.2,
-                ..ScenarioConfig::quick_test(seed)
-            };
             let eager = run(ScenarioConfig {
                 probe_mode: ProbeMode::Eager,
-                probe_rng: ProbeRngMode::PerNode,
-                ..base
+                ..base(seed, replacement)
             });
             let lazy = run(ScenarioConfig {
                 probe_mode: ProbeMode::Lazy,
-                probe_rng: ProbeRngMode::PerNode,
-                ..base
+                ..base(seed, replacement)
             });
             assert_eq!(
                 fingerprint(&eager),
@@ -74,24 +30,6 @@ fn lazy_run_is_bit_identical_to_eager_run() {
             assert_eq!(eager, lazy);
         }
     }
-}
-
-#[test]
-fn legacy_shared_rng_mode_still_runs_eagerly() {
-    let cfg = ScenarioConfig {
-        probe_mode: ProbeMode::Eager,
-        probe_rng: ProbeRngMode::SharedLegacy,
-        neighbor_replacement_rounds: Some(3),
-        ..ScenarioConfig::quick_test(5)
-    };
-    let a = run(cfg);
-    let b = run(cfg);
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "legacy mode is deterministic"
-    );
-    assert_eq!(a.connections, 200);
 }
 
 #[test]

@@ -6,6 +6,9 @@
 use idpa_desim::pool::parallel_map;
 use idpa_sim::{RunResult, ScenarioConfig, SimulationRun};
 
+mod common;
+use common::fingerprint;
+
 const REPS: usize = 6;
 
 fn replicate(threads: usize) -> Vec<RunResult> {
@@ -14,43 +17,18 @@ fn replicate(threads: usize) -> Vec<RunResult> {
     })
 }
 
-/// Every f64 in a `RunResult`, as raw bits, so equality is exact.
-fn fingerprint(results: &[RunResult]) -> Vec<u64> {
-    let mut bits = Vec::new();
-    for r in results {
-        for x in r
-            .good_payoffs
-            .iter()
-            .chain(&r.malicious_payoffs)
-            .chain(&r.node_totals)
-        {
-            bits.push(x.to_bits());
-        }
-        for x in [
-            r.avg_good_payoff,
-            r.avg_forwarder_set,
-            r.avg_path_length,
-            r.avg_path_quality,
-            r.routing_efficiency,
-            r.new_edge_fraction,
-            r.reformation_rate,
-            r.attack_exposure_rate,
-            r.avg_anonymity_degree,
-        ] {
-            bits.push(x.to_bits());
-        }
-        bits.push(r.connections);
-    }
-    bits
+/// One [`fingerprint`] per replication, in replication order.
+fn fingerprints(results: &[RunResult]) -> Vec<u64> {
+    results.iter().map(fingerprint).collect()
 }
 
 #[test]
 fn replication_results_bit_identical_across_pool_sizes() {
-    let baseline = fingerprint(&replicate(1));
+    let baseline = fingerprints(&replicate(1));
     assert!(!baseline.is_empty());
     for threads in [2, 8] {
         assert_eq!(
-            fingerprint(&replicate(threads)),
+            fingerprints(&replicate(threads)),
             baseline,
             "replication results diverged at {threads} worker threads"
         );

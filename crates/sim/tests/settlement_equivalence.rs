@@ -12,7 +12,10 @@
 //! the count, so shrinking the sweep by accident fails loudly.
 
 use idpa_desim::FaultConfig;
-use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SettlementMode, SimulationRun};
+use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SettlementMode};
+
+mod common;
+use common::run;
 
 /// Zeroes the fields epoch settlement is *allowed* to change: the delay
 /// model and the epoch operation counters.
@@ -23,11 +26,6 @@ fn normalized(mut r: RunResult) -> RunResult {
     r.epoch_netting_ratio = 0.0;
     r.batch_verify_throughput = 0.0;
     r
-}
-
-fn run(cfg: ScenarioConfig) -> RunResult {
-    cfg.validate().expect("scenario must be valid");
-    SimulationRun::execute(cfg)
 }
 
 /// Fault profiles covering the settlement-relevant axes: static faults

@@ -35,10 +35,7 @@ use rand::RngExt;
 /// fault-free closed, faulty adaptive, epoch settlement, lazy lifecycle,
 /// open workload with windowed metrics.
 fn scenarios() -> Vec<ScenarioConfig> {
-    let base = ScenarioConfig {
-        probe_rng: idpa_sim::ProbeRngMode::PerNode,
-        ..ScenarioConfig::quick_test(5)
-    };
+    let base = ScenarioConfig::quick_test(5);
     vec![
         base,
         ScenarioConfig {
@@ -218,7 +215,6 @@ fn resealed_fingerprint_flip_is_a_mismatch() {
 #[test]
 fn failed_restores_leave_no_trace() {
     let cfg = ScenarioConfig {
-        probe_rng: idpa_sim::ProbeRngMode::PerNode,
         fault: FaultConfig {
             crash_rate: 0.05,
             drop_rate: 0.1,

@@ -135,5 +135,23 @@ diff "$wal_dir/uninterrupted.txt" "$wal_dir/resumed.txt"
 grep -q "audit chain verified: true" "$wal_dir/resumed.txt"
 echo "WAL smoke: durable resumed run is line-identical and the audit chain verifies"
 
+# Byte-identity guard: the run-path benchmark's own tests, then every
+# per-run RunResult digest (SHA-256 over all fields) of the paper_sweep,
+# fault_closed and scale_1m workloads must equal benchmark/digests.txt line
+# for line, so a refactor that changes any simulated outcome fails here.
+# service_open is left out: its committed digest predates the fix to the
+# clearing-deposit serials and is re-recorded with the next benchmark
+# change. The build goes under target/ so the CI cache covers it.
+stage="byte identity (benchmark tests + committed RunResult digests)"
+export CARGO_TARGET_DIR=target/runbench
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+for w in paper_sweep fault_closed scale_1m; do
+    diff <(grep "^$w " benchmark/digests.txt) \
+        <(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$w" --print-digests)
+done
+unset CARGO_TARGET_DIR
+echo "byte identity: paper_sweep, fault_closed and scale_1m match the committed digests"
+
 stage="done"
 echo "verify: OK"
