@@ -17,6 +17,7 @@ use idpa_core::utility::UtilityModel;
 use idpa_crypto::bigint::BigUint;
 use idpa_crypto::blind::BlindingFactor;
 use idpa_crypto::chacha20::ChaCha20;
+use idpa_crypto::hmac::{hmac_sha256, HmacKey};
 use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::Sha256;
 use idpa_desim::rng::Xoshiro256StarStar;
@@ -475,6 +476,18 @@ fn bench_crypto(h: &mut Harness) {
     });
     let data = vec![0xabu8; 4096];
     h.bench("crypto/sha256_4k", || Sha256::digest(&data));
+    // One receipt MAC (a 24-byte message under a 32-byte bundle key): the
+    // one-shot form runs the key schedule on every call, the keyed form
+    // reuses the precomputed pad states.
+    let bundle_key = [0x5au8; 32];
+    let receipt = [0x42u8; 24];
+    h.bench("crypto/hmac_receipt_oneshot", || {
+        hmac_sha256(black_box(&bundle_key), black_box(&receipt))
+    });
+    let keyed = HmacKey::new(&bundle_key);
+    h.bench("crypto/hmac_receipt_keyed", || {
+        keyed.mac(black_box(&receipt))
+    });
     let key = [7u8; 32];
     let nonce = [1u8; 12];
     let zeros = vec![0u8; 4096];

@@ -13,8 +13,6 @@
 //!   the initiator must lie in every such set, so the candidate set shrinks
 //!   with each observation — [`IntersectionAttack`].
 
-use std::collections::HashSet;
-
 use idpa_netmodel::NodeSchedule;
 use idpa_overlay::NodeId;
 
@@ -40,9 +38,14 @@ pub fn apply_availability_attack(
 /// taps the responder), it intersects its candidate-initiator set with the
 /// set of nodes active at that moment. `‖candidates‖ = 1` means the
 /// initiator is exposed.
+///
+/// The candidates are held as a strictly increasing `Vec<NodeId>`. The
+/// first observation scans the universe once; every later one only
+/// re-tests the surviving candidates, so an observation costs O(|C|), not
+/// O(N).
 #[derive(Debug, Clone, Default)]
 pub struct IntersectionAttack {
-    candidates: Option<HashSet<NodeId>>,
+    candidates: Option<Vec<NodeId>>,
     observations: u32,
 }
 
@@ -53,14 +56,30 @@ impl IntersectionAttack {
         IntersectionAttack::default()
     }
 
-    /// Incorporates one observation: the set of nodes active while a
-    /// target connection ran. (The true initiator is always active during
-    /// its own connection, so it survives every intersection.)
-    pub fn observe(&mut self, active: &HashSet<NodeId>) {
+    /// Incorporates one observation: the nodes of `universe` for which
+    /// `is_active` holds while a target connection ran. (The true initiator
+    /// is always active during its own connection, so it survives every
+    /// intersection.)
+    ///
+    /// `universe` is read only by the first observation, which seeds the
+    /// candidates with its active members; later observations keep the
+    /// candidates still active. Callers must therefore pass the same
+    /// universe every time (and a predicate that is a pure function of the
+    /// node at the observed instant).
+    pub fn observe(
+        &mut self,
+        universe: impl IntoIterator<Item = NodeId>,
+        is_active: impl Fn(NodeId) -> bool,
+    ) {
         self.observations += 1;
         match &mut self.candidates {
-            None => self.candidates = Some(active.clone()),
-            Some(c) => c.retain(|n| active.contains(n)),
+            None => {
+                let mut c: Vec<NodeId> = universe.into_iter().filter(|&n| is_active(n)).collect();
+                c.sort_unstable();
+                c.dedup();
+                self.candidates = Some(c);
+            }
+            Some(c) => c.retain(|&n| is_active(n)),
         }
     }
 
@@ -74,13 +93,14 @@ impl IntersectionAttack {
     /// observation — every node is a candidate).
     #[must_use]
     pub fn candidate_count(&self) -> usize {
-        self.candidates.as_ref().map_or(usize::MAX, HashSet::len)
+        self.candidates.as_ref().map_or(usize::MAX, Vec::len)
     }
 
-    /// The candidate set, if any observation happened.
+    /// The candidate set sorted by node index, if any observation
+    /// happened.
     #[must_use]
-    pub fn candidates(&self) -> Option<&HashSet<NodeId>> {
-        self.candidates.as_ref()
+    pub fn candidates(&self) -> Option<&[NodeId]> {
+        self.candidates.as_deref()
     }
 
     /// Whether the attack has narrowed the candidates to exactly one node.
@@ -95,22 +115,31 @@ impl IntersectionAttack {
     /// is a candidate" and must not collapse to an empty set.
     #[must_use]
     pub fn snapshot_state(&self) -> (u32, Option<Vec<NodeId>>) {
-        let candidates = self.candidates.as_ref().map(|c| {
-            let mut v: Vec<NodeId> = c.iter().copied().collect();
-            v.sort_unstable_by_key(|n| n.index());
-            v
-        });
-        (self.observations, candidates)
+        (self.observations, self.candidates.clone())
     }
 
     /// Rebuilds an attack from an [`IntersectionAttack::snapshot_state`]
     /// export.
-    #[must_use]
-    pub fn from_snapshot(observations: u32, candidates: Option<Vec<NodeId>>) -> Self {
-        IntersectionAttack {
-            candidates: candidates.map(|v| v.into_iter().collect()),
-            observations,
+    ///
+    /// # Errors
+    ///
+    /// A candidate list that is not strictly increasing by node index (a
+    /// duplicate or out-of-order entry) — [`IntersectionAttack::snapshot_state`]
+    /// never produces one, and accepting it would inflate
+    /// [`IntersectionAttack::candidate_count`].
+    pub fn from_snapshot(
+        observations: u32,
+        candidates: Option<Vec<NodeId>>,
+    ) -> Result<Self, &'static str> {
+        if let Some(c) = &candidates {
+            if c.windows(2).any(|w| w[0] >= w[1]) {
+                return Err("attack candidates not strictly increasing");
+            }
         }
+        Ok(IntersectionAttack {
+            candidates,
+            observations,
+        })
     }
 }
 
@@ -118,10 +147,16 @@ impl IntersectionAttack {
 #[allow(clippy::unwrap_used)] // test-only assertions may panic freely
 mod tests {
     use super::*;
+    use idpa_desim::rng::Xoshiro256StarStar;
     use idpa_desim::SimTime;
+    use rand::RngExt;
+    use std::collections::HashSet;
 
-    fn set(ids: &[usize]) -> HashSet<NodeId> {
-        ids.iter().map(|&i| NodeId(i)).collect()
+    /// Universe of the toy observations below.
+    const UNIVERSE: usize = 64;
+
+    fn observe(atk: &mut IntersectionAttack, active: &[usize]) {
+        atk.observe((0..UNIVERSE).map(NodeId), |n| active.contains(&n.index()));
     }
 
     #[test]
@@ -142,13 +177,13 @@ mod tests {
     fn intersection_shrinks_candidates() {
         let mut atk = IntersectionAttack::new();
         assert_eq!(atk.candidate_count(), usize::MAX);
-        atk.observe(&set(&[0, 1, 2, 3]));
+        observe(&mut atk, &[0, 1, 2, 3]);
         assert_eq!(atk.candidate_count(), 4);
-        atk.observe(&set(&[0, 1, 5]));
+        observe(&mut atk, &[0, 1, 5]);
         assert_eq!(atk.candidate_count(), 2);
-        atk.observe(&set(&[1, 7]));
+        observe(&mut atk, &[1, 7]);
         assert!(atk.exposed());
-        assert!(atk.candidates().unwrap().contains(&NodeId(1)));
+        assert_eq!(atk.candidates().unwrap(), &[NodeId(1)]);
         assert_eq!(atk.observations(), 3);
     }
 
@@ -157,9 +192,7 @@ mod tests {
         // The initiator (node 0) is in every active set by construction.
         let mut atk = IntersectionAttack::new();
         for extra in [[1, 2], [3, 4], [5, 6]] {
-            let mut s = set(&extra);
-            s.insert(NodeId(0));
-            atk.observe(&s);
+            observe(&mut atk, &[0, extra[0], extra[1]]);
         }
         assert!(atk.candidates().unwrap().contains(&NodeId(0)));
         assert!(atk.exposed());
@@ -169,18 +202,13 @@ mod tests {
     fn fewer_observations_leave_more_anonymity() {
         // The quantitative point of minimising path reformations: each
         // observation can only shrink the candidate set.
-        let observations = [
-            set(&[0, 1, 2, 3, 4, 5]),
-            set(&[0, 1, 2, 3]),
-            set(&[0, 2, 3]),
-            set(&[0, 3]),
-        ];
+        let observations: [&[usize]; 4] = [&[0, 1, 2, 3, 4, 5], &[0, 1, 2, 3], &[0, 2, 3], &[0, 3]];
         let mut few = IntersectionAttack::new();
-        few.observe(&observations[0]);
-        few.observe(&observations[1]);
+        observe(&mut few, observations[0]);
+        observe(&mut few, observations[1]);
         let mut many = IntersectionAttack::new();
-        for o in &observations {
-            many.observe(o);
+        for o in observations {
+            observe(&mut many, o);
         }
         assert!(few.candidate_count() >= many.candidate_count());
     }
@@ -188,9 +216,72 @@ mod tests {
     #[test]
     fn disjoint_observation_empties_candidates() {
         let mut atk = IntersectionAttack::new();
-        atk.observe(&set(&[1, 2]));
-        atk.observe(&set(&[3, 4]));
+        observe(&mut atk, &[1, 2]);
+        observe(&mut atk, &[3, 4]);
         assert_eq!(atk.candidate_count(), 0);
         assert!(!atk.exposed());
+    }
+
+    #[test]
+    fn observe_matches_a_hash_set_intersection() {
+        // Reference: the plain set intersection of every observed active
+        // set, restricted to the universe. Universes are random subsets of
+        // 0..64 given in random order, active sets random subsets of 0..64.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x1a7e);
+        for case in 0..300 {
+            let mut universe: Vec<NodeId> = (0..UNIVERSE)
+                .filter(|_| rng.random_range(0..4u32) != 0)
+                .map(NodeId)
+                .collect();
+            for i in (1..universe.len()).rev() {
+                universe.swap(i, rng.random_range(0..=i));
+            }
+            let density = rng.random_range(1..10u32);
+            let mut atk = IntersectionAttack::new();
+            let mut reference: Option<HashSet<NodeId>> = None;
+            for _ in 0..rng.random_range(1..40u32) {
+                let active: HashSet<NodeId> = (0..UNIVERSE)
+                    .filter(|_| rng.random_range(0..10u32) < density)
+                    .map(NodeId)
+                    .collect();
+                atk.observe(universe.iter().copied(), |n| active.contains(&n));
+                reference = Some(match reference {
+                    None => universe
+                        .iter()
+                        .copied()
+                        .filter(|n| active.contains(n))
+                        .collect(),
+                    Some(r) => r.intersection(&active).copied().collect(),
+                });
+                let r = reference.as_ref().unwrap();
+                let mut want: Vec<NodeId> = r.iter().copied().collect();
+                want.sort_unstable();
+                assert_eq!(atk.candidates().unwrap(), want.as_slice(), "case {case}");
+                assert_eq!(atk.candidate_count(), r.len(), "case {case}");
+                assert_eq!(atk.exposed(), r.len() == 1, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        let mut atk = IntersectionAttack::new();
+        let (obs, c) = atk.snapshot_state();
+        let back = IntersectionAttack::from_snapshot(obs, c).unwrap();
+        assert_eq!(back.candidate_count(), usize::MAX);
+        observe(&mut atk, &[9, 3, 40]);
+        let (obs, c) = atk.snapshot_state();
+        let back = IntersectionAttack::from_snapshot(obs, c).unwrap();
+        assert_eq!(back.observations(), 1);
+        assert_eq!(back.candidates(), atk.candidates());
+    }
+
+    #[test]
+    fn snapshot_rejects_duplicate_or_unsorted_candidates() {
+        let ids = |v: &[usize]| Some(v.iter().copied().map(NodeId).collect::<Vec<_>>());
+        assert!(IntersectionAttack::from_snapshot(2, ids(&[1, 3, 3, 7])).is_err());
+        assert!(IntersectionAttack::from_snapshot(2, ids(&[1, 7, 3])).is_err());
+        assert!(IntersectionAttack::from_snapshot(2, ids(&[1, 3, 7])).is_ok());
+        assert!(IntersectionAttack::from_snapshot(2, ids(&[])).is_ok());
     }
 }

@@ -93,13 +93,18 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length, written straight
+        // into the pending block. A tail of 56 bytes or more leaves no room
+        // for the length, which then goes into one extra all-padding block.
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0; 64];
         }
-        // Manual final block write: append length without re-counting it.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
 
@@ -235,6 +240,46 @@ mod tests {
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha256::digest(b"hello"), Sha256::digest(b"hellp"));
         assert_ne!(Sha256::digest(b""), Sha256::digest(b"\0"));
+    }
+
+    #[test]
+    fn padding_boundary_known_answers() {
+        // `n` bytes of b'a', digests from coreutils `sha256sum`: the empty
+        // message, the last length whose padding fits one block (55), the
+        // first that needs a second (56), and the same edges one block on.
+        let cases = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for (n, want) in cases {
+            assert_eq!(hex(&Sha256::digest(&vec![b'a'; n])), want, "len={n}");
+        }
     }
 
     #[test]

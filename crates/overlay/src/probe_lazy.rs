@@ -237,8 +237,8 @@ struct ProbeCell {
     /// further due tick). A slot's absolute due tick is a pure function of
     /// the schedules and the slot's state trajectory, and [`advance`] only
     /// moves the frontier *along* that trajectory — so cached values
-    /// survive plain advances and are dropped only after `maintain_seeded`
-    /// may have replaced slots.
+    /// survive plain advances and are dropped only for the slots
+    /// `maintain_seeded` examines (and may replace).
     due_cache: Vec<u64>,
 }
 
@@ -423,11 +423,22 @@ fn sync_cell_slow(cell: &mut ProbeCell, ctx: &LazyCtx, target: u64) {
     while cell.synced_tick < target {
         match next_due_tick(cell, ctx, thr) {
             Some(k) if k <= target => {
+                // A due tick at or before the frontier is a stale cache
+                // entry (and would replay maintenance forever).
+                debug_assert!(k > cell.synced_tick, "stale due-cache entry");
                 advance(cell, ctx, k);
+                // Maintenance examines exactly the slots silent for `thr`
+                // rounds — those due at `k` — and may replace them, so only
+                // their due ticks are dropped. Every other slot keeps its
+                // state, and its cached absolute due tick lies strictly
+                // after `k`, so it stays exact.
+                let est = &cell.est;
+                for (i, slot) in cell.due_cache.iter_mut().enumerate() {
+                    if est.rounds - est.last_alive_round[i] >= thr {
+                        *slot = DUE_UNKNOWN;
+                    }
+                }
                 cell.est.maintain_seeded(&ctx.streams, thr, ctx.n_nodes);
-                // Maintenance may have replaced slots; their trajectories
-                // (and hence due ticks) are new.
-                cell.due_cache.fill(DUE_UNKNOWN);
             }
             // Next due tick beyond the target (or never): plain advance,
             // cached dues stay valid for the next sync or query.
@@ -1316,5 +1327,129 @@ mod tests {
         // Threshold 3 with ticks at 10, 20, 30, ...: rounds-since-alive for
         // the never-seen slot reaches 3 at tick 3 (t = 30).
         assert_eq!(lazy.next_due_after(NodeId(0), 0.0), Some(30.0));
+    }
+
+    /// Asserts every cached due tick that is not [`DUE_UNKNOWN`] equals a
+    /// fresh closed-form [`slot_due`] from the cell's current frontier.
+    fn assert_due_cache_exact(set: &LazyProbeSet, thr: u64, what: &str) {
+        let check = |node: usize, cell: &ProbeCell| {
+            for (i, &cached) in cell.due_cache.iter().enumerate() {
+                if cached == DUE_UNKNOWN {
+                    continue;
+                }
+                let fresh = slot_due(
+                    &cell.est,
+                    cell.synced_tick,
+                    &set.ctx,
+                    i,
+                    thr,
+                    set.ctx.max_tick,
+                )
+                .map_or(DUE_NEVER, |k| k.min(DUE_NEVER - 1));
+                assert_eq!(cached, fresh, "{what}: node {node} slot {i}");
+            }
+        };
+        match &set.cells {
+            CellStore::Dense(cells) => {
+                for (node, cell) in cells.iter().enumerate() {
+                    check(node, &cell.borrow());
+                }
+            }
+            CellStore::Sparse(store) => {
+                for (&node, sc) in &store.borrow().map {
+                    check(node, &sc.cell);
+                }
+            }
+        }
+    }
+
+    /// A small random world: alternating up/down sessions of random length
+    /// (fractional and whole-tick boundaries alike) and 1–3 distinct
+    /// neighbors per node.
+    fn random_world(
+        rng: &mut idpa_desim::rng::Xoshiro256StarStar,
+        n: usize,
+        horizon: f64,
+    ) -> (Vec<NodeSchedule>, Vec<Vec<NodeId>>) {
+        use rand::RngExt;
+        let schedules = (0..n)
+            .map(|_| {
+                let mut sessions = Vec::new();
+                let mut t = rng.random_range(0.0..10.0);
+                while t < horizon {
+                    let up = if rng.random_range(0..2u32) == 0 {
+                        rng.random_range(1..12u32).into()
+                    } else {
+                        rng.random_range(0.5..12.0)
+                    };
+                    sessions.push((t, (t + up).min(horizon)));
+                    t += up + rng.random_range(0.5..15.0);
+                }
+                NodeSchedule::from_sessions(sessions)
+            })
+            .collect();
+        let neighbors = (0..n)
+            .map(|i| {
+                let mut nbrs: Vec<NodeId> = Vec::new();
+                for _ in 0..rng.random_range(1..4u32) {
+                    let v = NodeId(rng.random_range(0..n));
+                    if v.index() != i && !nbrs.contains(&v) {
+                        nbrs.push(v);
+                    }
+                }
+                if nbrs.is_empty() {
+                    nbrs.push(NodeId((i + 1) % n));
+                }
+                nbrs
+            })
+            .collect();
+        (schedules, neighbors)
+    }
+
+    #[test]
+    fn due_cache_stays_exact_under_partial_invalidation() {
+        use rand::RngExt;
+        let mut rng = idpa_desim::rng::Xoshiro256StarStar::seed_from_u64(0xd0e);
+        let horizon = 120.0;
+        for case in 0..60u64 {
+            let n = rng.random_range(4..10usize);
+            let thr = rng.random_range(1..=3u64);
+            let (schedules, neighbors) = random_world(&mut rng, n, horizon);
+            let streams = StreamFactory::new(case);
+            let mut dense = LazyProbeSet::new(
+                1.0,
+                horizon,
+                schedules.clone(),
+                neighbors.clone(),
+                Some(thr),
+                streams.clone(),
+            );
+            let mut sparse = LazyProbeSet::new_sparse(
+                1.0,
+                horizon,
+                Arc::new(schedules),
+                Arc::new(neighbors),
+                Some(thr),
+                streams,
+            );
+            let mut now = 0.0;
+            while now < horizon {
+                now += rng.random_range(0.0..9.0);
+                let what = format!("case {case} thr {thr} t={now:.2}");
+                if rng.random_range(0..8u32) == 0 {
+                    dense.sync_all(now, 1);
+                    sparse.sync_all(now, 1);
+                } else {
+                    let s = NodeId(rng.random_range(0..n));
+                    assert_eq!(
+                        dense.next_due_after(s, now),
+                        sparse.next_due_after(s, now),
+                        "{what}: due of {s}"
+                    );
+                }
+                assert_due_cache_exact(&dense, thr, &what);
+                assert_due_cache_exact(&sparse, thr, &what);
+            }
+        }
     }
 }

@@ -50,6 +50,9 @@ pub use audit::{AuditEvent, AuditLog};
 pub use bank::{AccountId, Bank, DepositError, EpochNetError};
 pub use epoch::{EpochLedger, EpochSettleError, EpochSettlement};
 pub use escrow::{Escrow, SettlementError, SettlementReport};
+/// The bundle key receipts, manifests and validators MAC under, with its
+/// HMAC key schedule precomputed.
+pub use idpa_crypto::hmac::HmacKey;
 pub use ledger::{ApplyError, BankReplica, Ledger, RecoveryReport};
 pub use monitor::{InvariantKind, InvariantMonitor, InvariantViolation};
 pub use receipt::{Receipt, ReceiptBook};

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use idpa_crypto::hmac::{hmac_sha256, verify_hmac};
+use idpa_crypto::hmac::{Hmac, HmacKey};
 
 use crate::bank::AccountId;
 use crate::receipt::Receipt;
@@ -41,21 +41,33 @@ pub struct PathManifest {
     pub mac: [u8; 32],
 }
 
-fn manifest_message(bundle_id: u64, connection: u32, hops: &[AccountId]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(8 + 4 + 8 * hops.len());
-    msg.extend_from_slice(&bundle_id.to_be_bytes());
-    msg.extend_from_slice(&connection.to_be_bytes());
-    for h in hops {
-        msg.extend_from_slice(&h.0.to_be_bytes());
+/// Starts the manifest MAC over its fields (bundle id, connection, then
+/// each hop account, all big-endian), streamed without a message buffer.
+fn manifest_mac<'k>(
+    bundle_key: &'k HmacKey,
+    bundle_id: u64,
+    connection: u32,
+    hops: &[AccountId],
+) -> Hmac<'k> {
+    let mut h = bundle_key.start();
+    h.update(&bundle_id.to_be_bytes());
+    h.update(&connection.to_be_bytes());
+    for hop in hops {
+        h.update(&hop.0.to_be_bytes());
     }
-    msg
+    h
 }
 
 impl PathManifest {
     /// Seals the path under the bundle key (executed by the responder).
     #[must_use]
-    pub fn issue(bundle_key: &[u8], bundle_id: u64, connection: u32, hops: Vec<AccountId>) -> Self {
-        let mac = hmac_sha256(bundle_key, &manifest_message(bundle_id, connection, &hops));
+    pub fn issue(
+        bundle_key: &HmacKey,
+        bundle_id: u64,
+        connection: u32,
+        hops: Vec<AccountId>,
+    ) -> Self {
+        let mac = manifest_mac(bundle_key, bundle_id, connection, &hops).finalize();
         PathManifest {
             bundle_id,
             connection,
@@ -66,12 +78,8 @@ impl PathManifest {
 
     /// Verifies the seal.
     #[must_use]
-    pub fn verify(&self, bundle_key: &[u8]) -> bool {
-        verify_hmac(
-            bundle_key,
-            &manifest_message(self.bundle_id, self.connection, &self.hops),
-            &self.mac,
-        )
+    pub fn verify(&self, bundle_key: &HmacKey) -> bool {
+        manifest_mac(bundle_key, self.bundle_id, self.connection, &self.hops).verify(&self.mac)
     }
 }
 
@@ -97,7 +105,7 @@ pub struct ConnectionEvidence {
 /// Accumulates a bundle's evidence and validates it at settlement.
 #[derive(Debug, Clone)]
 pub struct PathValidator {
-    key: Vec<u8>,
+    key: HmacKey,
     bundle_id: u64,
     evidence: Vec<ConnectionEvidence>,
 }
@@ -105,9 +113,9 @@ pub struct PathValidator {
 impl PathValidator {
     /// A validator for one bundle under its shared key.
     #[must_use]
-    pub fn new(bundle_key: &[u8], bundle_id: u64) -> Self {
+    pub fn new(bundle_key: &HmacKey, bundle_id: u64) -> Self {
         PathValidator {
-            key: bundle_key.to_vec(),
+            key: bundle_key.clone(),
             bundle_id,
             evidence: Vec::new(),
         }
@@ -136,12 +144,12 @@ impl PathValidator {
     /// id) plus a [`PathValidator::evidence`] export.
     #[must_use]
     pub fn from_snapshot(
-        bundle_key: &[u8],
+        bundle_key: &HmacKey,
         bundle_id: u64,
         evidence: Vec<ConnectionEvidence>,
     ) -> Self {
         PathValidator {
-            key: bundle_key.to_vec(),
+            key: bundle_key.clone(),
             bundle_id,
             evidence,
         }
@@ -298,8 +306,10 @@ impl ValidationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
 
-    const KEY: &[u8] = b"bundle key for validation tests";
+    static KEY: LazyLock<HmacKey> =
+        LazyLock::new(|| HmacKey::new(b"bundle key for validation tests"));
     const BUNDLE: u64 = 9;
 
     fn account(i: u64) -> AccountId {
@@ -311,12 +321,12 @@ mod tests {
     /// cheating forwarder at that position would).
     fn evidence(connection: u32, path: &[u64], corrupt_from: Option<usize>) -> ConnectionEvidence {
         let hops: Vec<AccountId> = path.iter().map(|&i| account(i)).collect();
-        let manifest = PathManifest::issue(KEY, BUNDLE, connection, hops.clone());
+        let manifest = PathManifest::issue(&KEY, BUNDLE, connection, hops.clone());
         let receipts = hops
             .iter()
             .enumerate()
             .map(|(i, &acct)| {
-                let mut r = Receipt::issue(KEY, BUNDLE, connection, (i + 1) as u32, acct);
+                let mut r = Receipt::issue(&KEY, BUNDLE, connection, (i + 1) as u32, acct);
                 if corrupt_from.is_some_and(|cf| i + 1 > cf) {
                     r.mac[0] ^= 0x55;
                 }
@@ -332,20 +342,20 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_and_tamper_detection() {
-        let m = PathManifest::issue(KEY, BUNDLE, 3, vec![account(1), account(2)]);
-        assert!(m.verify(KEY));
-        assert!(!m.verify(b"wrong key"));
+        let m = PathManifest::issue(&KEY, BUNDLE, 3, vec![account(1), account(2)]);
+        assert!(m.verify(&KEY));
+        assert!(!m.verify(&HmacKey::new(b"wrong key")));
         let mut t = m.clone();
         t.hops[1] = account(7);
-        assert!(!t.verify(KEY), "substituted hop must break the seal");
+        assert!(!t.verify(&KEY), "substituted hop must break the seal");
         let mut t = m;
         t.connection = 4;
-        assert!(!t.verify(KEY));
+        assert!(!t.verify(&KEY));
     }
 
     #[test]
     fn clean_bundle_pays_everyone_and_flags_no_one() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(evidence(0, &[1, 2, 3], None));
         v.add_connection(evidence(1, &[1, 4], None));
         let r = v.validate();
@@ -363,7 +373,7 @@ mod tests {
         // Cheater at position 2 (account 5) corrupts hops 3..: the deepest
         // intact prefix ends at position 2, so account 5 is flagged, and
         // the honest victims below it are the ones who lose payment.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(evidence(0, &[4, 5, 6, 7], Some(2)));
         let r = v.validate();
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(5)]);
@@ -382,7 +392,7 @@ mod tests {
         // at least one path, so accumulation flags all three and never an
         // honest node.
         let cheaters = [5u64, 6, 7];
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(evidence(0, &[1, 5, 6, 2], Some(2))); // 5 masks 6
         v.add_connection(evidence(1, &[1, 6, 3, 2], Some(2))); // 6 exposed
         v.add_connection(evidence(2, &[7, 4, 1], Some(1))); // 7 exposed
@@ -396,7 +406,7 @@ mod tests {
     fn missing_receipts_are_shortfall_not_false_accusation() {
         // A dropped confirmation yields no evidence at all; a partially
         // delivered receipt set with an intact prefix flags the boundary.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts.truncate(1); // hops 2 and 3 never arrived
         v.add_connection(ev);
@@ -411,7 +421,7 @@ mod tests {
 
     #[test]
     fn fully_corrupted_connection_is_unattributed() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(evidence(0, &[1, 2], Some(0)));
         let r = v.validate();
         assert_eq!(r.validated_instances, 0);
@@ -422,7 +432,7 @@ mod tests {
 
     #[test]
     fn invalid_manifest_is_counted_and_skipped() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2], None);
         ev.manifest.hops[0] = account(9); // forged path statement
         v.add_connection(ev);
@@ -434,7 +444,7 @@ mod tests {
 
     #[test]
     fn flag_connection_matches_whole_bundle_settlement() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(evidence(0, &[1, 2, 3], None)); // clean
         v.add_connection(evidence(1, &[4, 5, 6, 7], Some(2))); // 5 corrupts
         v.add_connection(evidence(2, &[1, 2], Some(0))); // unattributable
@@ -456,11 +466,11 @@ mod tests {
     fn forged_evidence(connection: u32, genuine: &[u64], phantoms: &[u64]) -> ConnectionEvidence {
         let mut hops: Vec<AccountId> = genuine.iter().map(|&i| account(i)).collect();
         hops.extend(phantoms.iter().map(|&i| account(i)));
-        let manifest = PathManifest::issue(KEY, BUNDLE, connection, hops.clone());
+        let manifest = PathManifest::issue(&KEY, BUNDLE, connection, hops.clone());
         let receipts = hops
             .iter()
             .enumerate()
-            .map(|(i, &acct)| Receipt::issue(KEY, BUNDLE, connection, (i + 1) as u32, acct))
+            .map(|(i, &acct)| Receipt::issue(&KEY, BUNDLE, connection, (i + 1) as u32, acct))
             .collect();
         ConnectionEvidence {
             manifest,
@@ -471,7 +481,7 @@ mod tests {
 
     #[test]
     fn cross_check_withholds_phantom_payouts_and_names_the_accounts() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         v.add_connection(forged_evidence(0, &[1, 2], &[8, 9]));
         let r = v.validate();
         // Genuine work is paid in full; the forged MAC-valid suffix is not.
@@ -494,7 +504,7 @@ mod tests {
         // Without observed hops the forgery is indistinguishable from
         // genuine evidence — the attack wins, which is exactly what the
         // adversary-zoo leakage metric measures.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = forged_evidence(0, &[1, 2], &[8]);
         ev.observed_hops = None;
         v.add_connection(ev);
@@ -506,12 +516,12 @@ mod tests {
 
     #[test]
     fn cross_check_with_matching_observation_is_invisible() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut honest = evidence(0, &[1, 2, 3], None);
         honest.observed_hops = Some(vec![account(1), account(2), account(3)]);
         v.add_connection(honest);
         let baseline = {
-            let mut vb = PathValidator::new(KEY, BUNDLE);
+            let mut vb = PathValidator::new(&KEY, BUNDLE);
             vb.add_connection(evidence(0, &[1, 2, 3], None));
             vb.validate()
         };
@@ -523,7 +533,7 @@ mod tests {
         // A cheater corrupts the genuine suffix while the responder pads
         // phantoms: the intact-prefix rule still pins the corrupter, and
         // the phantoms are still withheld.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let genuine = [4u64, 5, 6];
         let mut ev = forged_evidence(0, &genuine, &[8]);
         for r in &mut ev.receipts {
@@ -542,9 +552,9 @@ mod tests {
     fn receipt_for_wrong_forwarder_breaks_at_that_hop() {
         // A receipt redirected to another account fails the manifest match
         // even though its MAC verifies for the original fields.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
-        ev.receipts[1] = Receipt::issue(KEY, BUNDLE, 0, 2, account(8));
+        ev.receipts[1] = Receipt::issue(&KEY, BUNDLE, 0, 2, account(8));
         v.add_connection(ev);
         let r = v.validate();
         assert_eq!(r.validated_instances, 2);

@@ -30,7 +30,7 @@
 //! A fault-free run therefore makes exactly the routing draws and history
 //! commits of a run without the fault layer.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use idpa_core::adversary::IntersectionAttack;
 use idpa_core::arena::HistoryArena;
@@ -49,6 +49,7 @@ use idpa_payment::audit::{AuditEvent, AuditLog};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
 use idpa_payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
+use idpa_payment::HmacKey;
 use rand::{Rng, RngExt};
 use std::sync::Arc;
 
@@ -360,8 +361,9 @@ pub(crate) struct FaultRuntime {
     pub(crate) delivery: DeliveryTracker,
     /// Per-pair §5 evidence accumulators.
     pub(crate) validators: Vec<PathValidator>,
-    /// Per-pair bundle keys (shared by manifest and receipts).
-    pub(crate) keys: Vec<[u8; 32]>,
+    /// Per-pair bundle keys (shared by manifest and receipts), with the
+    /// HMAC key schedule run once per pair.
+    pub(crate) keys: Vec<HmacKey>,
     /// Per-pair time of the last completed connection (`< 0` = none).
     pub(crate) last_completion: Vec<f64>,
     /// Per-initiator private fault ledgers (keyed by initiator node).
@@ -625,13 +627,13 @@ impl SimulationRun {
             if cfg.workload == WorkloadMode::Closed {
                 delivery.record_scheduled(cfg.total_transmissions as u64);
             }
-            let keys: Vec<[u8; 32]> = (0..n_pairs)
+            let keys: Vec<HmacKey> = (0..n_pairs)
                 .map(|p| {
                     let mut key = [0u8; 32];
                     streams
                         .stream_indexed2("payment/bundle-key", p as u64, 0)
                         .fill_bytes(&mut key);
-                    key
+                    HmacKey::new(&key)
                 })
                 .collect();
             let validators = keys
@@ -945,21 +947,20 @@ impl SimulationRun {
     /// Intersection attack: if any malicious node sat on the path, the
     /// adversary observes the set of currently-live nodes.
     fn observe_attack(&mut self, pair: usize, forwarders: &[NodeId], now: SimTime) {
-        let observed = forwarders
-            .iter()
-            .any(|f| !self.world.kinds[f.index()].is_good());
-        if observed {
+        let kinds = &self.world.kinds;
+        if forwarders.iter().any(|f| !kinds[f.index()].is_good()) {
             // The attacker intersects the active sets it can see. Its own
             // colluders are never initiator candidates (it knows them), so
-            // only good nodes enter the observation.
-            let active: HashSet<NodeId> = (0..self.cfg.n_nodes)
-                .map(NodeId)
-                .filter(|n| {
-                    self.world.kinds[n.index()].is_good()
-                        && self.world.schedules[n.index()].is_up(now)
-                })
-                .collect();
-            self.attacks[pair].observe(&active);
+            // the universe is the good nodes. Only the first observation
+            // scans it; later ones re-test the surviving candidates, which
+            // are good nodes already (`kinds` is fixed for the run).
+            let schedules = &self.world.schedules;
+            self.attacks[pair].observe(
+                (0..self.cfg.n_nodes)
+                    .map(NodeId)
+                    .filter(|n| kinds[n.index()].is_good()),
+                |n| schedules[n.index()].is_up(now),
+            );
         }
     }
 

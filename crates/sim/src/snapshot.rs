@@ -723,7 +723,11 @@ pub fn restore(
         } else {
             None
         };
-        *at = IntersectionAttack::from_snapshot(observations, candidates);
+        *at = IntersectionAttack::from_snapshot(observations, candidates).map_err(|e| {
+            SimError::SnapshotCodec {
+                detail: e.to_string(),
+            }
+        })?;
     }
 
     // History arena: replay every record through the write path.

@@ -93,11 +93,12 @@ fn main() {
             s
         })
         .collect();
+    let universe = || everyone.iter().map(|&n| NodeId(n));
     for a in actives.iter().take(2) {
-        stable.observe(a);
+        stable.observe(universe(), |n| a.contains(&n));
     }
     for a in &actives {
-        churny.observe(a);
+        churny.observe(universe(), |n| a.contains(&n));
     }
     println!(
         "2 observations: {} candidates (degree {:.2})",

@@ -10,6 +10,7 @@ use idpa::payment::bank::Bank;
 use idpa::payment::escrow::Escrow;
 use idpa::payment::receipt::{Receipt, ReceiptBook};
 use idpa::payment::token::Wallet;
+use idpa::payment::HmacKey;
 use idpa::prelude::*;
 
 #[test]
@@ -47,7 +48,7 @@ fn simulation_bundle_settles_through_real_bank() {
     let mut escrow =
         Escrow::open(&mut bank, 7, pf, pr, wallet.take_exact(budget).unwrap()).unwrap();
 
-    let key = b"e2e bundle key";
+    let key = &HmacKey::new(b"e2e bundle key");
     let mut book = ReceiptBook::new();
     for conn in 0..k {
         book.add(Receipt::issue(key, 7, conn, 0, f1));
