@@ -17,9 +17,9 @@
 //! most-upstream node that handled every corrupted receipt. Flagging it
 //! never accuses an honest forwarder; a cheater masked by another cheater
 //! upstream of it on one connection is exposed on any connection where it
-//! acts as the most-upstream corrupter. Detected-versus-paid discrepancies
-//! are recorded in the bank's [`crate::audit::AuditLog`] as
-//! [`crate::audit::AuditEvent::Discrepancy`] entries.
+//! acts as the most-upstream corrupter. A bundle whose validated instances
+//! fall short of what its manifests attest is a detected-versus-paid
+//! discrepancy.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -102,12 +102,13 @@ pub struct ConnectionEvidence {
     pub observed_hops: Option<Vec<AccountId>>,
 }
 
-/// Accumulates a bundle's evidence and validates it at settlement.
+/// Checks §5 evidence under one bundle's key. It stores no evidence: the
+/// initiator checks each connection once, as its confirmation returns,
+/// and folds the [`ValidationReport`] into its settlement.
 #[derive(Debug, Clone)]
 pub struct PathValidator {
     key: HmacKey,
     bundle_id: u64,
-    evidence: Vec<ConnectionEvidence>,
 }
 
 impl PathValidator {
@@ -117,49 +118,40 @@ impl PathValidator {
         PathValidator {
             key: bundle_key.clone(),
             bundle_id,
-            evidence: Vec::new(),
         }
     }
 
-    /// Records one completed connection's evidence.
-    pub fn add_connection(&mut self, evidence: ConnectionEvidence) {
-        self.evidence.push(evidence);
+    /// The bundle key (shared by the manifest and the receipts).
+    #[must_use]
+    pub fn key(&self) -> &HmacKey {
+        &self.key
     }
 
-    /// Completed connections recorded so far.
+    /// Checks one connection's evidence: counts its payable forwarding
+    /// instances, measures the corruption shortfall, and flags at most
+    /// one cheater (the most-upstream acting corrupter) by the
+    /// intact-prefix rule described in the module docs.
     #[must_use]
-    pub fn connections(&self) -> usize {
-        self.evidence.len()
+    pub fn check(&self, ev: &ConnectionEvidence) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        self.check_into(ev, &mut report);
+        report
     }
 
-    /// Snapshot export: the recorded evidence entries, in insertion order.
-    /// (The key and bundle id are not exported — resume re-derives them
-    /// deterministically and rebuilds via [`PathValidator::from_snapshot`].)
+    /// Checks every entry of `evidence` and merges the reports. Each entry
+    /// is checked independently, so this equals the merge of the
+    /// per-connection [`PathValidator::check`] reports over any partition
+    /// of the slice.
     #[must_use]
-    pub fn evidence(&self) -> &[ConnectionEvidence] {
-        &self.evidence
-    }
-
-    /// Rebuilds a validator from its deterministic identity (key, bundle
-    /// id) plus a [`PathValidator::evidence`] export.
-    #[must_use]
-    pub fn from_snapshot(
-        bundle_key: &HmacKey,
-        bundle_id: u64,
-        evidence: Vec<ConnectionEvidence>,
-    ) -> Self {
-        PathValidator {
-            key: bundle_key.clone(),
-            bundle_id,
-            evidence,
+    pub fn validate(&self, evidence: &[ConnectionEvidence]) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        for ev in evidence {
+            self.check_into(ev, &mut report);
         }
+        report
     }
 
-    /// Replays one evidence entry into `report` — the shared kernel of
-    /// whole-bundle settlement ([`PathValidator::validate`]) and the
-    /// adaptive runner's per-connection check
-    /// ([`PathValidator::flag_connection`]).
-    fn apply_evidence(&self, ev: &ConnectionEvidence, report: &mut ValidationReport) {
+    fn check_into(&self, ev: &ConnectionEvidence, report: &mut ValidationReport) {
         let m = &ev.manifest;
         if m.bundle_id != self.bundle_id || !m.verify(&self.key) {
             report.invalid_manifests += 1;
@@ -217,53 +209,6 @@ impl PathValidator {
                 report.unattributed += 1;
             }
         }
-    }
-
-    /// Replays all evidence: counts payable forwarding instances, measures
-    /// the corruption shortfall, and flags cheaters by the intact-prefix
-    /// rule described in the module docs.
-    #[must_use]
-    pub fn validate(&self) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        for ev in &self.evidence {
-            self.apply_evidence(ev, &mut report);
-        }
-        report
-    }
-
-    /// Replays the evidence entries in `[start, end)` (insertion order) —
-    /// the epoch-settlement kernel. [`PathValidator::apply_evidence`] is
-    /// per-entry independent, so partitioning a bundle's evidence into
-    /// epoch windows and merging the per-window reports (summing counters,
-    /// unioning `paid_counts`/`flagged`) reproduces the whole-bundle
-    /// [`PathValidator::validate`] exactly; out-of-range indices are
-    /// simply skipped.
-    #[must_use]
-    pub fn validate_range(&self, start: usize, end: usize) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        let end = end.min(self.evidence.len());
-        for ev in self.evidence.get(start..end).unwrap_or(&[]) {
-            self.apply_evidence(ev, &mut report);
-        }
-        report
-    }
-
-    /// Validates a single recorded connection (by insertion order) with
-    /// the same intact-prefix rule as [`PathValidator::validate`] and
-    /// returns the forwarder it pins the corruption on, if any.
-    ///
-    /// This is the adaptive fault-response feedback hook: instead of
-    /// learning about cheaters only at end-of-run settlement, the
-    /// initiator checks each connection's evidence as its confirmation
-    /// returns and feeds the flag straight into its reputation ledger, so
-    /// the cheater is suppressed from the *rest of the same run's* path
-    /// formations. A connection flags at most one forwarder (the
-    /// most-upstream acting corrupter).
-    #[must_use]
-    pub fn flag_connection(&self, index: usize) -> Option<AccountId> {
-        let mut report = ValidationReport::default();
-        self.apply_evidence(self.evidence.get(index)?, &mut report);
-        report.flagged.into_iter().next()
     }
 }
 
@@ -355,10 +300,8 @@ mod tests {
 
     #[test]
     fn clean_bundle_pays_everyone_and_flags_no_one() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(evidence(0, &[1, 2, 3], None));
-        v.add_connection(evidence(1, &[1, 4], None));
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE)
+            .validate(&[evidence(0, &[1, 2, 3], None), evidence(1, &[1, 4], None)]);
         assert_eq!(r.expected_instances, 5);
         assert_eq!(r.validated_instances, 5);
         assert_eq!(r.shortfall(), 0.0);
@@ -373,9 +316,7 @@ mod tests {
         // Cheater at position 2 (account 5) corrupts hops 3..: the deepest
         // intact prefix ends at position 2, so account 5 is flagged, and
         // the honest victims below it are the ones who lose payment.
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(evidence(0, &[4, 5, 6, 7], Some(2)));
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&evidence(0, &[4, 5, 6, 7], Some(2)));
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(5)]);
         assert_eq!(r.expected_instances, 4);
         assert_eq!(r.validated_instances, 2);
@@ -392,11 +333,11 @@ mod tests {
         // at least one path, so accumulation flags all three and never an
         // honest node.
         let cheaters = [5u64, 6, 7];
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(evidence(0, &[1, 5, 6, 2], Some(2))); // 5 masks 6
-        v.add_connection(evidence(1, &[1, 6, 3, 2], Some(2))); // 6 exposed
-        v.add_connection(evidence(2, &[7, 4, 1], Some(1))); // 7 exposed
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).validate(&[
+            evidence(0, &[1, 5, 6, 2], Some(2)), // 5 masks 6
+            evidence(1, &[1, 6, 3, 2], Some(2)), // 6 exposed
+            evidence(2, &[7, 4, 1], Some(1)),    // 7 exposed
+        ]);
         let flagged: Vec<u64> = r.flagged.iter().map(|a| a.0).collect();
         assert_eq!(flagged, cheaters, "all cheaters flagged, nobody else");
         assert_eq!(r.unattributed, 0);
@@ -406,11 +347,9 @@ mod tests {
     fn missing_receipts_are_shortfall_not_false_accusation() {
         // A dropped confirmation yields no evidence at all; a partially
         // delivered receipt set with an intact prefix flags the boundary.
-        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts.truncate(1); // hops 2 and 3 never arrived
-        v.add_connection(ev);
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&ev);
         assert_eq!(r.validated_instances, 1);
         assert_eq!(
             r.flagged.iter().copied().collect::<Vec<_>>(),
@@ -421,9 +360,7 @@ mod tests {
 
     #[test]
     fn fully_corrupted_connection_is_unattributed() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(evidence(0, &[1, 2], Some(0)));
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&evidence(0, &[1, 2], Some(0)));
         assert_eq!(r.validated_instances, 0);
         assert!(r.flagged.is_empty(), "no intact prefix, no accusation");
         assert_eq!(r.unattributed, 1);
@@ -432,28 +369,29 @@ mod tests {
 
     #[test]
     fn invalid_manifest_is_counted_and_skipped() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2], None);
         ev.manifest.hops[0] = account(9); // forged path statement
-        v.add_connection(ev);
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&ev);
         assert_eq!(r.invalid_manifests, 1);
         assert_eq!(r.expected_instances, 0);
         assert_eq!(r.shortfall(), 0.0);
     }
 
     #[test]
-    fn flag_connection_matches_whole_bundle_settlement() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(evidence(0, &[1, 2, 3], None)); // clean
-        v.add_connection(evidence(1, &[4, 5, 6, 7], Some(2))); // 5 corrupts
-        v.add_connection(evidence(2, &[1, 2], Some(0))); // unattributable
-        assert_eq!(v.flag_connection(0), None);
-        assert_eq!(v.flag_connection(1), Some(account(5)));
-        assert_eq!(v.flag_connection(2), None);
-        assert_eq!(v.flag_connection(99), None, "out of range is no flag");
+    fn per_connection_checks_match_whole_bundle_settlement() {
+        let v = PathValidator::new(&KEY, BUNDLE);
+        let bundle = [
+            evidence(0, &[1, 2, 3], None),       // clean
+            evidence(1, &[4, 5, 6, 7], Some(2)), // 5 corrupts
+            evidence(2, &[1, 2], Some(0)),       // unattributable
+        ];
+        let flags: Vec<Vec<AccountId>> = bundle
+            .iter()
+            .map(|ev| v.check(ev).flagged.into_iter().collect())
+            .collect();
+        assert_eq!(flags, [vec![], vec![account(5)], vec![]]);
         // The per-connection flags are exactly the settlement flags.
-        let settled = v.validate();
+        let settled = v.validate(&bundle);
         assert_eq!(
             settled.flagged.iter().copied().collect::<Vec<_>>(),
             [account(5)]
@@ -481,9 +419,7 @@ mod tests {
 
     #[test]
     fn cross_check_withholds_phantom_payouts_and_names_the_accounts() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(forged_evidence(0, &[1, 2], &[8, 9]));
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&forged_evidence(0, &[1, 2], &[8, 9]));
         // Genuine work is paid in full; the forged MAC-valid suffix is not.
         assert_eq!(r.expected_instances, 2);
         assert_eq!(r.validated_instances, 2);
@@ -504,11 +440,9 @@ mod tests {
         // Without observed hops the forgery is indistinguishable from
         // genuine evidence — the attack wins, which is exactly what the
         // adversary-zoo leakage metric measures.
-        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = forged_evidence(0, &[1, 2], &[8]);
         ev.observed_hops = None;
-        v.add_connection(ev);
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&ev);
         assert_eq!(r.validated_instances, 3);
         assert_eq!(r.paid_counts[&account(8)], 1);
         assert_eq!(r.phantom_instances, 0);
@@ -516,16 +450,11 @@ mod tests {
 
     #[test]
     fn cross_check_with_matching_observation_is_invisible() {
-        let mut v = PathValidator::new(&KEY, BUNDLE);
+        let v = PathValidator::new(&KEY, BUNDLE);
         let mut honest = evidence(0, &[1, 2, 3], None);
         honest.observed_hops = Some(vec![account(1), account(2), account(3)]);
-        v.add_connection(honest);
-        let baseline = {
-            let mut vb = PathValidator::new(&KEY, BUNDLE);
-            vb.add_connection(evidence(0, &[1, 2, 3], None));
-            vb.validate()
-        };
-        assert_eq!(v.validate(), baseline, "honest evidence is unaffected");
+        let baseline = v.check(&evidence(0, &[1, 2, 3], None));
+        assert_eq!(v.check(&honest), baseline, "honest evidence is unaffected");
     }
 
     #[test]
@@ -533,7 +462,6 @@ mod tests {
         // A cheater corrupts the genuine suffix while the responder pads
         // phantoms: the intact-prefix rule still pins the corrupter, and
         // the phantoms are still withheld.
-        let mut v = PathValidator::new(&KEY, BUNDLE);
         let genuine = [4u64, 5, 6];
         let mut ev = forged_evidence(0, &genuine, &[8]);
         for r in &mut ev.receipts {
@@ -541,8 +469,7 @@ mod tests {
                 r.mac[0] ^= 0x55; // corrupt genuine hops 2..=3
             }
         }
-        v.add_connection(ev);
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&ev);
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(4)]);
         assert_eq!(r.phantom_instances, 1);
         assert_eq!(r.validated_instances, 1);
@@ -552,11 +479,9 @@ mod tests {
     fn receipt_for_wrong_forwarder_breaks_at_that_hop() {
         // A receipt redirected to another account fails the manifest match
         // even though its MAC verifies for the original fields.
-        let mut v = PathValidator::new(&KEY, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts[1] = Receipt::issue(&KEY, BUNDLE, 0, 2, account(8));
-        v.add_connection(ev);
-        let r = v.validate();
+        let r = PathValidator::new(&KEY, BUNDLE).check(&ev);
         assert_eq!(r.validated_instances, 2);
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(1)]);
     }

@@ -191,12 +191,11 @@ fn merge(a: &mut ValidationReport, b: ValidationReport) {
 fn fuzz_path_validator_invariants() {
     for seed in case_seeds(1, budget(2000)) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut v = PathValidator::new(&KEY, BUNDLE);
+        let v = PathValidator::new(&KEY, BUNDLE);
         let n_conns = 1 + (rng.next() % 6) as u32;
-        for c in 0..n_conns {
-            v.add_connection(fuzz_evidence(&mut rng, c));
-        }
-        let report = v.validate();
+        let evidence: Vec<ConnectionEvidence> =
+            (0..n_conns).map(|c| fuzz_evidence(&mut rng, c)).collect();
+        let report = v.validate(&evidence);
 
         assert!(
             report.validated_instances <= report.expected_instances,
@@ -215,9 +214,9 @@ fn fuzz_path_validator_invariants() {
         // Windowed settlement partitions losslessly at any split points.
         let mut windows = ValidationReport::default();
         let mut start = 0usize;
-        while start < v.connections() {
-            let end = start + 1 + (rng.next() as usize) % 3;
-            merge(&mut windows, v.validate_range(start, end));
+        while start < evidence.len() {
+            let end = (start + 1 + (rng.next() as usize) % 3).min(evidence.len());
+            merge(&mut windows, v.validate(&evidence[start..end]));
             start = end;
         }
         assert_eq!(
@@ -227,8 +226,7 @@ fn fuzz_path_validator_invariants() {
 
         // Flags, payments, and phantom reports only ever name accounts
         // some manifest vouched for.
-        let manifest_accounts: std::collections::BTreeSet<AccountId> = v
-            .evidence()
+        let manifest_accounts: std::collections::BTreeSet<AccountId> = evidence
             .iter()
             .flat_map(|e| e.manifest.hops.iter().copied())
             .collect();
@@ -254,8 +252,8 @@ fn fuzz_path_validator_invariants() {
         // Per-connection flagging is exactly the union of whole-bundle
         // flags (each connection pins at most one forwarder).
         let mut union = std::collections::BTreeSet::new();
-        for i in 0..v.connections() {
-            union.extend(v.flag_connection(i));
+        for ev in &evidence {
+            union.extend(v.check(ev).flagged);
         }
         assert_eq!(
             union, report.flagged,
@@ -287,13 +285,11 @@ fn fuzz_cross_check_never_pays_phantoms() {
             .enumerate()
             .map(|(i, &a)| Receipt::issue(&KEY, BUNDLE, 0, (i + 1) as u32, a))
             .collect();
-        let mut v = PathValidator::new(&KEY, BUNDLE);
-        v.add_connection(ConnectionEvidence {
+        let report = PathValidator::new(&KEY, BUNDLE).check(&ConnectionEvidence {
             manifest,
             receipts,
             observed_hops: Some(genuine),
         });
-        let report = v.validate();
         assert_eq!(
             report.validated_instances, n_genuine as u64,
             "seed {seed}: phantom padding changed what gets paid"

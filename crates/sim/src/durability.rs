@@ -23,9 +23,9 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use idpa_desim::fault::{BankCrashDraw, FaultPlan};
-use idpa_payment::{
-    AccountId, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, ValidationReport, Wal,
-};
+use idpa_payment::{AccountId, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, Wal};
+
+use crate::error::SimError;
 
 /// The escrow account all payouts are drawn from. Opened first, so it is
 /// always ledger account 0.
@@ -35,9 +35,9 @@ const ESCROW: AccountId = AccountId(0);
 /// (payout units are receipt counts, bounded by the workload size).
 const ESCROW_FUND: u64 = 1 << 40;
 
-/// Receipts cleared per synthetic withdraw/deposit pair (mirrors the
-/// epoch-settlement batch size used for `batch_ops` accounting).
-const CLEARING_BATCH: u64 = 1024;
+/// Receipts cleared per withdraw/deposit pair, and per batched deposit
+/// call in the epoch policy's operation count.
+pub(crate) const CLEARING_BATCH: u64 = 1024;
 
 /// Mutable counters of the durability layer — everything that may differ
 /// between a crashing and a non-crashing run (and is therefore excluded
@@ -78,7 +78,8 @@ pub(crate) struct BankDurabilityState {
     replica: BankReplica,
     /// Simulation node index → ledger account, in order of first payout.
     node_accounts: BTreeMap<u64, AccountId>,
-    /// Epoch mode: stage every boundary's operations, commit as one group.
+    /// Epoch mode: pay each window by one netted `EpochNet` record, staged
+    /// and committed as one group.
     group_commit: bool,
     /// Flush sequence number — the position key for crash draws and
     /// clearing serials, monotone across the whole run (survives resume).
@@ -113,7 +114,10 @@ impl BankDurabilityState {
 
     /// Rebuilds the durable bank from snapshot parts: the ledger is
     /// recovered from the persisted WAL image (exercising the same code
-    /// path as crash recovery), the replica re-warmed at its tail.
+    /// path as crash recovery), the replica re-warmed at its tail. A
+    /// snapshot holds only committed records, so an image that does not
+    /// recover cleanly (torn or corrupt) is a typed mismatch, never a
+    /// silently shorter ledger.
     pub(crate) fn restore(
         wal_bytes: &[u8],
         node_accounts: BTreeMap<u64, AccountId>,
@@ -121,15 +125,16 @@ impl BankDurabilityState {
         flushes: u64,
         epoch_counter: u64,
         counters: DurabilityCounters,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
         let (mut primary, report) = Ledger::recover(wal_bytes);
-        debug_assert!(
-            report.is_clean(),
-            "snapshot carried a corrupt WAL image: {report:?}"
-        );
+        if !report.is_clean() {
+            return Err(SimError::SnapshotMismatch {
+                what: "bank WAL image",
+            });
+        }
         primary.set_group_commit(group_commit);
         let replica = Self::warm_replica(&primary);
-        BankDurabilityState {
+        Ok(BankDurabilityState {
             primary,
             replica,
             node_accounts,
@@ -137,7 +142,7 @@ impl BankDurabilityState {
             flushes,
             epoch_counter,
             counters,
-        }
+        })
     }
 
     /// A replica bit-identical to the primary, cursored at the WAL tail.
@@ -147,23 +152,15 @@ impl BankDurabilityState {
         BankReplica::warm(primary.clone(), cursor)
     }
 
-    /// Per-bundle settlement: one flush per validated connection.
-    pub(crate) fn settle_connection(&mut self, report: &ValidationReport, plan: &FaultPlan) {
-        let paid: BTreeMap<u64, u64> = report.paid_counts.iter().map(|(a, c)| (a.0, *c)).collect();
-        let ops = self.build_ops(&paid, report.validated_instances, None);
-        self.flush(ops, plan);
-    }
-
-    /// Epoch settlement: one flush per boundary, netting the whole window.
-    pub(crate) fn settle_epoch(
-        &mut self,
-        paid: &BTreeMap<u64, u64>,
-        receipts: u64,
-        plan: &FaultPlan,
-    ) {
-        let epoch = self.epoch_counter;
-        self.epoch_counter += 1;
-        let ops = self.build_ops(paid, receipts, Some(epoch));
+    /// Commits one settlement window (payable instances per node, and the
+    /// receipts they clear) as one flush: per-bundle windows pay by
+    /// transfers, epoch windows by one netted `EpochNet` record.
+    pub(crate) fn settle(&mut self, paid: &BTreeMap<u64, u64>, receipts: u64, plan: &FaultPlan) {
+        let epoch = self.group_commit.then(|| {
+            self.epoch_counter += 1;
+            self.epoch_counter - 1
+        });
+        let ops = self.build_ops(paid, receipts, epoch);
         self.flush(ops, plan);
     }
 
@@ -400,21 +397,19 @@ mod tests {
         FaultPlan::new(cfg, StreamFactory::new(0xD1CE), 64, 1_000.0)
     }
 
-    fn report(paid: &[(u64, u64)]) -> ValidationReport {
-        let mut r = ValidationReport::default();
-        for &(node, count) in paid {
-            r.paid_counts.insert(AccountId(node), count);
-            r.validated_instances += count;
-        }
-        r
+    /// Settles one window paying `paid` (node, count) pairs, clearing
+    /// exactly the receipts they earned.
+    fn settle(bank: &mut BankDurabilityState, paid: &[(u64, u64)], plan: &FaultPlan) {
+        let paid: BTreeMap<u64, u64> = paid.iter().copied().collect();
+        bank.settle(&paid, paid.values().sum(), plan);
     }
 
     #[test]
     fn per_bundle_settlement_is_logged_and_conserves_value() {
         let p = plan(0.0);
         let mut bank = BankDurabilityState::new(false);
-        bank.settle_connection(&report(&[(3, 5), (7, 2)]), &p);
-        bank.settle_connection(&report(&[(3, 4)]), &p);
+        settle(&mut bank, &[(3, 5), (7, 2)], &p);
+        settle(&mut bank, &[(3, 4)], &p);
         let out = bank.finalize();
         assert!(out.audit_ok);
         assert_eq!(out.counters.monitor_violations, 0);
@@ -429,11 +424,9 @@ mod tests {
         let mut a = BankDurabilityState::new(true);
         let mut b = BankDurabilityState::new(true);
         for round in 0..20u64 {
-            let r = report(&[(round % 5, 3 + round % 4), (9, 1)]);
-            let paid: BTreeMap<u64, u64> = r.paid_counts.iter().map(|(k, v)| (k.0, *v)).collect();
-            let receipts: u64 = paid.values().sum();
-            a.settle_epoch(&paid, receipts, &calm);
-            b.settle_epoch(&paid, receipts, &stormy);
+            let paid = [(round % 5, 3 + round % 4), (9, 1)];
+            settle(&mut a, &paid, &calm);
+            settle(&mut b, &paid, &stormy);
         }
         let (oa, ob) = (a.finalize(), b.finalize());
         assert!(ob.counters.crashes > 0, "crash class never fired");
@@ -450,25 +443,19 @@ mod tests {
         let mut full = BankDurabilityState::new(false);
         let mut front = BankDurabilityState::new(false);
         for round in 0..12u64 {
-            let r = report(&[(round % 3, 2 + round % 5)]);
-            full.settle_connection(&r, &p);
+            let paid = [(round % 3, 2 + round % 5)];
+            settle(&mut full, &paid, &p);
             if round < 6 {
-                front.settle_connection(&r, &p);
+                settle(&mut front, &paid, &p);
             }
         }
         let (bytes, accounts, flushes, epochs, counters) = front.snapshot_parts();
-        let mut resumed = BankDurabilityState::restore(
-            &bytes.to_vec(),
-            accounts.clone(),
-            false,
-            flushes,
-            epochs,
-            counters,
-        );
+        let mut resumed =
+            BankDurabilityState::restore(bytes, accounts.clone(), false, flushes, epochs, counters)
+                .unwrap();
         let p2 = plan(0.35);
         for round in 6..12u64 {
-            let r = report(&[(round % 3, 2 + round % 5)]);
-            resumed.settle_connection(&r, &p2);
+            settle(&mut resumed, &[(round % 3, 2 + round % 5)], &p2);
         }
         let (of, or) = (full.finalize(), resumed.finalize());
         assert_eq!(of.ledger_digest, or.ledger_digest);

@@ -40,6 +40,7 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod service;
+pub(crate) mod settlement;
 pub mod slab;
 pub mod snapshot;
 pub mod window;

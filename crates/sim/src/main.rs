@@ -371,6 +371,9 @@ fn service_main(args: &[String]) -> Result<(), String> {
     println!("- simulated connections: {}", result.connections);
     println!("- delivery ratio: {:.4}", result.delivery_ratio);
     println!("- avg good payoff: {:.3}", result.avg_good_payoff);
+    println!("- payment shortfall: {:.6}", result.payment_shortfall);
+    println!("- flagged cheaters: {:?}", result.flagged_cheaters);
+    println!("- audit discrepancies: {}", result.audit_discrepancies);
     println!("- interrupted: {}", result.interrupted);
     println!("- audit chain verified: {}", result.audit_chain_verified);
     if result.bank_wal_records > 0 {

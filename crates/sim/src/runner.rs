@@ -18,19 +18,19 @@
 //! with exponential backoff up to `max_retries` before being abandoned.
 //! History stays confirmation-driven (§2.2): a failed attempt commits no
 //! Table 1 records, and a swallowed confirmation commits only the path
-//! suffix it actually traversed. Completed connections deposit a MAC'd path
-//! manifest plus per-hop receipts with a [`PathValidator`], whose
-//! settlement-time replay reconstructs π, pays only validated instances and
-//! flags cheaters. All fault draws come from dedicated position-keyed
-//! streams, never the routing stream.
+//! suffix it actually traversed. A completed connection's §5 evidence (a
+//! MAC'd path manifest plus per-hop receipts) is checked once, by the
+//! pair's [`PathValidator`], as the confirmation returns: the check
+//! reconstructs π, pays only validated instances and flags cheaters, and
+//! its report is folded into the run's [`Settlement`] accumulator, which
+//! flushes per bundle or per epoch (`--settlement`). All fault draws come
+//! from dedicated position-keyed streams, never the routing stream.
 //!
 //! Faulty and fault-free transmissions share one path: the fault layer is
 //! an `Option` that is `None` unless a fault rate, an adversary strategy or
 //! the durable bank is active, and every fault step is skipped when it is.
 //! A fault-free run therefore makes exactly the routing draws and history
 //! commits of a run without the fault layer.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use idpa_core::adversary::IntersectionAttack;
 use idpa_core::arena::HistoryArena;
@@ -45,7 +45,6 @@ use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{AdversaryPlan, CheatAction, Engine, FaultPlan, FaultResponse, Process, SimTime};
 use idpa_netmodel::{CostModel, NodeSchedule};
 use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator, ProbeInvalidation};
-use idpa_payment::audit::{AuditEvent, AuditLog};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
 use idpa_payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
@@ -57,6 +56,7 @@ use crate::durability::BankDurabilityState;
 use crate::scenario::{
     BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, WorkloadMode,
 };
+use crate::settlement::Settlement;
 use crate::slab::{NodeSlab, ReputationStore};
 use crate::window::WindowCollector;
 use crate::world::World;
@@ -86,9 +86,9 @@ pub enum Ev {
         /// Attempt number (1 = first retry).
         attempt: u32,
     },
-    /// An epoch boundary under `--settlement epoch`: the evidence window
-    /// accrued since the previous boundary is validated, payouts are
-    /// netted per account and deposits batch-verified.
+    /// An epoch boundary under `--settlement epoch`: the settlement window
+    /// accrued since the previous boundary is flushed, its payouts netted
+    /// per account and its deposits cleared in batches.
     EpochSettle,
     /// An open-workload connection request (`--workload open`): the pair's
     /// next Poisson arrival fires, starts a transmission at the current
@@ -260,7 +260,8 @@ pub struct RunResult {
     pub flagged_cheaters: Vec<usize>,
     /// Nodes the fault plan injected as cheaters (sorted).
     pub injected_cheaters: Vec<usize>,
-    /// Detected-versus-paid [`AuditEvent::Discrepancy`] entries recorded.
+    /// Detected-versus-paid discrepancies: bundles whose receipt-backed
+    /// (payable) instances fall short of what their manifests attest.
     pub audit_discrepancies: u64,
     /// Peak number of simultaneously materialized per-node probe cells.
     /// Equals N under the eager lifecycle; under `--node-lifecycle lazy`
@@ -359,13 +360,9 @@ pub struct RunResult {
 pub(crate) struct FaultRuntime {
     pub(crate) plan: FaultPlan,
     pub(crate) delivery: DeliveryTracker,
-    /// Per-pair §5 evidence accumulators.
+    /// Per-pair §5 evidence checkers, each holding its bundle key (shared
+    /// by manifest and receipts, key schedule run once per pair).
     pub(crate) validators: Vec<PathValidator>,
-    /// Per-pair bundle keys (shared by manifest and receipts), with the
-    /// HMAC key schedule run once per pair.
-    pub(crate) keys: Vec<HmacKey>,
-    /// Per-pair time of the last completed connection (`< 0` = none).
-    pub(crate) last_completion: Vec<f64>,
     /// Per-initiator private fault ledgers (keyed by initiator node).
     /// Written only under `--fault-response adaptive`; in static mode they
     /// stay pristine and are never handed to the routing view, keeping
@@ -375,19 +372,15 @@ pub(crate) struct FaultRuntime {
     /// Global probe-availability mask, advanced on confirmed failures
     /// (adaptive mode only).
     pub(crate) probe_invalid: ProbeInvalidation,
-    /// Epoch-batched settlement accumulation (`Some` only under
-    /// `--settlement epoch`; `None` runs the exact per-bundle code path).
-    pub(crate) epoch: Option<EpochState>,
     /// Deterministic adversary strategies (`Some` only when at least one
     /// `--adversary-*` rate is nonzero; `None` leaves every code path
     /// byte-identical to a build without the adversary layer).
     pub(crate) adversary: Option<AdversaryPlan>,
     /// Dynamic adversary counters (all zero when no strategy is active).
     pub(crate) adv: AdversaryCounters,
-    /// The durable bank (`Some` only under `--bank-durability wal`):
-    /// WAL-backed ledger mirroring the settlement flow, warm replica,
-    /// seeded crash/failover, and the runtime invariant monitor.
-    pub(crate) bank: Option<BankDurabilityState>,
+    /// The settlement accumulator: checked-evidence totals, the pending
+    /// window its `--settlement` policy flushes, and the durable bank.
+    pub(crate) settlement: Settlement,
 }
 
 /// Dynamic counters of the adversary layer — the only mutable adversary
@@ -407,102 +400,9 @@ pub(crate) struct AdversaryCounters {
     pub(crate) phantom_injected: u64,
 }
 
-/// Running state of epoch-batched settlement: per-pair window cursors plus
-/// the accumulated totals the final aggregation reads. Because
-/// [`PathValidator::validate_range`] windows partition each pair's
-/// evidence, the accumulated totals equal a single whole-bundle
-/// validation — epoch mode changes *when* settlement work happens and how
-/// many bank operations it costs, never the economics.
-pub(crate) struct EpochState {
-    /// Per-pair count of evidence entries settled in prior windows.
-    pub(crate) cursors: Vec<usize>,
-    /// Per-pair manifest-attested instances over all settled windows.
-    pub(crate) expected: Vec<u64>,
-    /// Per-pair receipt-backed (payable) instances over all settled
-    /// windows.
-    pub(crate) validated: Vec<u64>,
-    /// Union of flagged forwarders across all settled windows.
-    pub(crate) flagged: BTreeSet<usize>,
-    /// Boundaries that settled at least one new connection.
-    pub(crate) epochs_settled: u64,
-    /// Netted payout operations: one per account paid per epoch, however
-    /// many receipts it earned in the window.
-    pub(crate) payout_ops: u64,
-    /// Batched deposit calls: one per window of up to 1024 individually
-    /// verified deposits.
-    pub(crate) batch_ops: u64,
-    /// Receipts cleared through batched settlement.
-    pub(crate) receipts_netted: u64,
-    /// Phantom instances withheld by the cross-confirmation check across
-    /// all settled windows.
-    pub(crate) phantom_flagged: u64,
-}
-
-impl EpochState {
-    pub(crate) fn new(n_pairs: usize) -> Self {
-        EpochState {
-            cursors: vec![0; n_pairs],
-            expected: vec![0; n_pairs],
-            validated: vec![0; n_pairs],
-            flagged: BTreeSet::new(),
-            epochs_settled: 0,
-            payout_ops: 0,
-            batch_ops: 0,
-            receipts_netted: 0,
-            phantom_flagged: 0,
-        }
-    }
-}
-
 impl FaultRuntime {
     fn adaptive(&self) -> bool {
         self.plan.config().response == FaultResponse::Adaptive
-    }
-
-    /// Settles the evidence window accrued since the last epoch boundary:
-    /// validates each pair's new connections, folds the results into the
-    /// per-pair totals, and counts the bank-facing operations the batch
-    /// collapses the window into (one netted payout per paid account, one
-    /// batch-verification call per 1024 deposits). A no-op in per-bundle
-    /// mode and on boundaries with no new evidence.
-    fn settle_epoch_window(&mut self) {
-        let Some(es) = self.epoch.as_mut() else {
-            return;
-        };
-        let mut receipts = 0u64;
-        let mut settled_any = false;
-        let mut accounts: BTreeSet<u64> = BTreeSet::new();
-        let mut paid: BTreeMap<u64, u64> = BTreeMap::new();
-        for (pair, validator) in self.validators.iter().enumerate() {
-            let (start, end) = (es.cursors[pair], validator.connections());
-            if start == end {
-                continue;
-            }
-            settled_any = true;
-            let report = validator.validate_range(start, end);
-            es.cursors[pair] = end;
-            es.expected[pair] += report.expected_instances;
-            es.validated[pair] += report.validated_instances;
-            es.phantom_flagged += report.phantom_instances;
-            es.flagged
-                .extend(report.flagged.iter().map(|a| a.0 as usize));
-            accounts.extend(report.paid_counts.keys().map(|a| a.0));
-            for (a, c) in &report.paid_counts {
-                *paid.entry(a.0).or_insert(0) += c;
-            }
-            receipts += report.validated_instances;
-        }
-        if !settled_any {
-            return;
-        }
-        es.epochs_settled += 1;
-        es.receipts_netted += receipts;
-        es.payout_ops += accounts.len() as u64;
-        es.batch_ops += receipts.div_ceil(1024);
-        // The durable bank commits the whole window as one WAL group.
-        if let Some(bank) = self.bank.as_mut() {
-            bank.settle_epoch(&paid, receipts, &self.plan);
-        }
     }
 }
 
@@ -627,19 +527,14 @@ impl SimulationRun {
             if cfg.workload == WorkloadMode::Closed {
                 delivery.record_scheduled(cfg.total_transmissions as u64);
             }
-            let keys: Vec<HmacKey> = (0..n_pairs)
+            let validators = (0..n_pairs)
                 .map(|p| {
                     let mut key = [0u8; 32];
                     streams
                         .stream_indexed2("payment/bundle-key", p as u64, 0)
                         .fill_bytes(&mut key);
-                    HmacKey::new(&key)
+                    PathValidator::new(&HmacKey::new(&key), p as u64)
                 })
-                .collect();
-            let validators = keys
-                .iter()
-                .enumerate()
-                .map(|(p, key)| PathValidator::new(key, p as u64))
                 .collect();
             (
                 vec![0.0; cfg.n_nodes],
@@ -647,19 +542,21 @@ impl SimulationRun {
                     plan,
                     delivery,
                     validators,
-                    keys,
-                    last_completion: vec![-1.0; n_pairs],
                     reputation: match cfg.node_lifecycle {
                         NodeLifecycle::Eager => ReputationStore::dense(cfg.n_nodes),
                         NodeLifecycle::Lazy => ReputationStore::sparse(cfg.n_nodes),
                     },
                     probe_invalid: ProbeInvalidation::new(cfg.n_nodes),
-                    epoch: (cfg.settlement == SettlementMode::Epoch)
-                        .then(|| EpochState::new(n_pairs)),
                     adversary,
                     adv: AdversaryCounters::default(),
-                    bank: (cfg.bank_durability == BankDurability::Wal)
-                        .then(|| BankDurabilityState::new(cfg.settlement == SettlementMode::Epoch)),
+                    settlement: Settlement::new(
+                        cfg.settlement,
+                        cfg.epoch_length,
+                        n_pairs,
+                        (cfg.bank_durability == BankDurability::Wal).then(|| {
+                            BankDurabilityState::new(cfg.settlement == SettlementMode::Epoch)
+                        }),
+                    ),
                 }),
             )
         } else {
@@ -780,7 +677,7 @@ impl SimulationRun {
         // like probe ticks; the window after the last in-horizon boundary
         // flushes at `finish`. Nothing is scheduled in per-bundle mode, so
         // the default event stream is untouched.
-        if self.fault.as_ref().is_some_and(|fr| fr.epoch.is_some()) {
+        if self.fault.is_some() && self.cfg.settlement == SettlementMode::Epoch {
             let mut k = 1u64;
             loop {
                 let t = k as f64 * self.cfg.epoch_length;
@@ -1132,9 +1029,9 @@ impl SimulationRun {
     }
 
     /// The confirmation reached `I`: commit history and settle accounting.
-    /// With the fault layer on, also track delivery and deposit the §5
+    /// With the fault layer on, also track delivery and check the §5
     /// evidence (manifest + receipts, corrupted downstream of
-    /// `corrupt_from` when a cheater acted).
+    /// `corrupt_from` when a cheater acted) into the settlement.
     #[allow(clippy::too_many_arguments)]
     fn complete_connection(
         &mut self,
@@ -1169,12 +1066,12 @@ impl SimulationRun {
         let scheduled = self.world.pairs[pair].times[conn as usize];
         fr.delivery
             .record_delivered(now.minutes() - scheduled, attempt > 0);
-        fr.last_completion[pair] = now.minutes();
 
         // §5 evidence: the responder's MAC'd path manifest plus per-hop
         // receipts; a corrupting cheater destroys every receipt strictly
         // downstream of itself but keeps its own intact.
-        let key = &fr.keys[pair];
+        let validator = &fr.validators[pair];
+        let key = validator.key();
         let account = |n: NodeId| AccountId(n.index() as u64);
         let mut hops: Vec<AccountId> = outcome.forwarders.iter().map(|&f| account(f)).collect();
         // Clique forgery: a colluding responder holds the bundle key, so
@@ -1215,32 +1112,20 @@ impl SimulationRun {
             })
             .collect();
         let manifest = PathManifest::issue(key, pair as u64, conn, hops);
-        fr.validators[pair].add_connection(ConnectionEvidence {
+        let report = validator.check(&ConnectionEvidence {
             manifest,
             receipts,
             observed_hops,
         });
+        fr.settlement.record(pair, now.minutes(), &report, &fr.plan);
 
-        // Per-bundle durability: the durable bank settles each validated
-        // connection as its own WAL flush (epoch mode instead batches the
-        // whole window at the boundary, inside `settle_epoch_window`).
-        if self.cfg.settlement == SettlementMode::PerBundle {
-            if let Some(bank) = fr.bank.as_mut() {
-                let idx = fr.validators[pair].connections() - 1;
-                let report = fr.validators[pair].validate_range(idx, idx + 1);
-                bank.settle_connection(&report, &fr.plan);
-            }
-        }
-
-        // In-run cheater feedback (adaptive only): when receipts came back
-        // corrupted, replay just this connection's evidence now instead of
-        // waiting for settlement. The §5 intact-prefix rule pins the
-        // corruption on one forwarder; flagging it in the initiator's
-        // ledger suppresses it from this run's subsequent path formations.
-        if fr.adaptive() && corrupt_from.is_some() {
-            let initiator = self.world.pairs[pair].initiator;
-            let idx = fr.validators[pair].connections() - 1;
-            if let Some(cheater) = fr.validators[pair].flag_connection(idx) {
+        // In-run cheater feedback (adaptive only): the §5 intact-prefix
+        // rule pins a connection's corruption on at most one forwarder;
+        // flagging it in the initiator's ledger suppresses it from this
+        // run's subsequent path formations.
+        if fr.adaptive() {
+            if let Some(&cheater) = report.flagged.first() {
+                let initiator = self.world.pairs[pair].initiator;
                 fr.reputation
                     .get_mut(initiator.index())
                     .flag_cheater(NodeId(cheater.0 as usize));
@@ -1248,116 +1133,16 @@ impl SimulationRun {
         }
     }
 
-    /// Settles the fault layer: §5 validation over every bundle's evidence,
-    /// the aggregate payment shortfall, the audit trail of detected-vs-paid
-    /// discrepancies, and the bank-outage settlement delay.
-    fn settle_faults(fr: &FaultRuntime) -> (f64, f64, Vec<usize>, u64, u64) {
-        let mut expected = 0u64;
-        let mut validated = 0u64;
-        let mut phantom_flagged = 0u64;
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        let mut audit = AuditLog::new();
-        for (pair, validator) in fr.validators.iter().enumerate() {
-            let report = validator.validate();
-            expected += report.expected_instances;
-            validated += report.validated_instances;
-            phantom_flagged += report.phantom_instances;
-            flagged.extend(report.flagged.iter().map(|a| a.0 as usize));
-            if report.validated_instances < report.expected_instances {
-                audit.append(AuditEvent::Discrepancy {
-                    bundle: pair as u64,
-                    expected: report.expected_instances,
-                    validated: report.validated_instances,
-                    flagged: report.flagged.len() as u64,
-                });
-            }
-        }
-        assert!(
-            audit.verify_chain(),
-            "settlement audit hash chain failed verification"
-        );
-        let shortfall = if expected == 0 {
-            0.0
-        } else {
-            1.0 - validated as f64 / expected as f64
-        };
-        let delays: Vec<f64> = fr
-            .last_completion
-            .iter()
-            .filter(|&&t| t >= 0.0)
-            .map(|&t| fr.plan.next_bank_up(t) - t)
-            .collect();
-        let settlement_delay = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<f64>() / delays.len() as f64
-        };
-        (
-            shortfall,
-            settlement_delay,
-            flagged.into_iter().collect(),
-            audit.len() as u64,
-            phantom_flagged,
-        )
-    }
-
-    /// Epoch-mode counterpart of [`SimulationRun::settle_faults`]: the
-    /// same §5 aggregates, read from the per-window accumulation instead
-    /// of one final validation pass. The windows partition each pair's
-    /// evidence, so shortfall, flags and the discrepancy count equal the
-    /// per-bundle settlement exactly. Only the delay model differs: funds
-    /// leave the bank at the first epoch boundary at or after a pair's
-    /// last completion, further delayed by any bank outage covering that
-    /// boundary — an outage stalls an epoch, not a bundle.
-    fn settle_epochs(
-        fr: &FaultRuntime,
-        es: &EpochState,
-        epoch_length: f64,
-    ) -> (f64, f64, Vec<usize>, u64, u64) {
-        let expected: u64 = es.expected.iter().sum();
-        let validated: u64 = es.validated.iter().sum();
-        let shortfall = if expected == 0 {
-            0.0
-        } else {
-            1.0 - validated as f64 / expected as f64
-        };
-        let discrepancies = es
-            .expected
-            .iter()
-            .zip(&es.validated)
-            .filter(|(e, v)| v < e)
-            .count() as u64;
-        let delays: Vec<f64> = fr
-            .last_completion
-            .iter()
-            .filter(|&&t| t >= 0.0)
-            .map(|&t| {
-                let boundary = (t / epoch_length).ceil() * epoch_length;
-                fr.plan.next_bank_up(boundary) - t
-            })
-            .collect();
-        let settlement_delay = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<f64>() / delays.len() as f64
-        };
-        (
-            shortfall,
-            settlement_delay,
-            es.flagged.iter().copied().collect(),
-            discrepancies,
-            es.phantom_flagged,
-        )
-    }
-
     /// Settles all bundles into the aggregate result.
     #[must_use]
     pub fn finish(mut self) -> RunResult {
-        // Epoch mode: flush the tail window (evidence accrued after the
-        // last in-horizon boundary) before aggregating.
-        if let Some(fr) = self.fault.as_mut() {
-            fr.settle_epoch_window();
-        }
+        // Flush the settlement tail (an epoch window accrued after the last
+        // in-horizon boundary) and close the durable bank.
+        let settled = self
+            .fault
+            .as_mut()
+            .map(|fr| fr.settlement.finish(&fr.plan))
+            .unwrap_or_default();
         let n = self.cfg.n_nodes;
         // Resident-state metrics, through the same footprint model in every
         // representation so probe modes agree exactly under each lifecycle.
@@ -1448,52 +1233,16 @@ impl SimulationRun {
             })
             .collect();
 
-        // Durable-bank end-of-run summary (needs `&mut`, so it runs before
-        // the shared borrows below): final full invariant sweep, replica
-        // agreement check, audit-chain verification, WAL accounting.
-        let bank_outcome = self
-            .fault
-            .as_mut()
-            .and_then(|fr| fr.bank.as_mut())
-            .map(BankDurabilityState::finalize);
-        if let Some(out) = &bank_outcome {
-            assert!(
-                out.audit_ok,
-                "durable bank audit hash chain failed verification"
-            );
-        }
-
-        let (
-            delivery_ratio,
-            retries_per_message,
-            reformation_latency,
-            payment_shortfall,
-            settlement_delay,
-            flagged_cheaters,
-            injected_cheaters,
-            audit_discrepancies,
-            clique_phantom_flagged,
-        ) = match &self.fault {
-            None => (1.0, 0.0, 0.0, 0.0, 0.0, Vec::new(), Vec::new(), 0, 0),
-            Some(fr) => {
-                let (shortfall, settlement_delay, flagged, discrepancies, phantom_flagged) =
-                    match &fr.epoch {
-                        None => Self::settle_faults(fr),
-                        Some(es) => Self::settle_epochs(fr, es, self.cfg.epoch_length),
-                    };
-                (
+        let (delivery_ratio, retries_per_message, reformation_latency, injected_cheaters) =
+            match &self.fault {
+                None => (1.0, 0.0, 0.0, Vec::new()),
+                Some(fr) => (
                     fr.delivery.delivery_ratio(),
                     fr.delivery.retries_per_message(),
                     fr.delivery.reformation_latency(),
-                    shortfall,
-                    settlement_delay,
-                    flagged,
                     fr.plan.cheaters(),
-                    discrepancies,
-                    phantom_flagged,
-                )
-            }
-        };
+                ),
+            };
 
         // Per-class adversary metrics. All defaults (empty / zero) when no
         // strategy is active — the existing result fingerprints exclude
@@ -1530,35 +1279,8 @@ impl SimulationRun {
         let clique_payout_leakage = if adv.phantom_injected == 0 {
             0.0
         } else {
-            adv.phantom_injected.saturating_sub(clique_phantom_flagged) as f64
+            adv.phantom_injected.saturating_sub(settled.phantom_flagged) as f64
                 / adv.phantom_injected as f64
-        };
-
-        let (
-            epochs_settled,
-            settlement_ops_per_epoch,
-            epoch_netting_ratio,
-            batch_verify_throughput,
-        ) = match self.fault.as_ref().and_then(|fr| fr.epoch.as_ref()) {
-            None => (0, 0.0, 0.0, 0.0),
-            Some(es) => (
-                es.epochs_settled,
-                if es.epochs_settled == 0 {
-                    0.0
-                } else {
-                    (es.payout_ops + es.batch_ops) as f64 / es.epochs_settled as f64
-                },
-                if es.payout_ops == 0 {
-                    0.0
-                } else {
-                    es.receipts_netted as f64 / es.payout_ops as f64
-                },
-                if es.batch_ops == 0 {
-                    0.0
-                } else {
-                    es.receipts_netted as f64 / es.batch_ops as f64
-                },
-            ),
         };
 
         let (windowed_delivery_ratio, windowed_payoff_rate, windowed_retry_rate) =
@@ -1602,18 +1324,18 @@ impl SimulationRun {
             delivery_ratio,
             retries_per_message,
             reformation_latency,
-            payment_shortfall,
-            settlement_delay,
-            flagged_cheaters,
+            payment_shortfall: settled.payment_shortfall,
+            settlement_delay: settled.settlement_delay,
+            flagged_cheaters: settled.flagged_cheaters,
             injected_cheaters,
-            audit_discrepancies,
+            audit_discrepancies: settled.audit_discrepancies,
             peak_materialized_nodes,
             node_evictions,
             slab_bytes,
-            epochs_settled,
-            settlement_ops_per_epoch,
-            epoch_netting_ratio,
-            batch_verify_throughput,
+            epochs_settled: settled.epochs_settled,
+            settlement_ops_per_epoch: settled.settlement_ops_per_epoch,
+            epoch_netting_ratio: settled.epoch_netting_ratio,
+            batch_verify_throughput: settled.batch_verify_throughput,
             windowed_delivery_ratio,
             windowed_payoff_rate,
             windowed_retry_rate,
@@ -1624,17 +1346,17 @@ impl SimulationRun {
             whitewash_events: adv.whitewash_events,
             reputation_evasion_rate,
             clique_phantom_instances: adv.phantom_injected,
-            clique_phantom_flagged,
+            clique_phantom_flagged: settled.phantom_flagged,
             clique_payout_leakage,
-            bank_wal_records: bank_outcome.map_or(0, |o| o.wal_records),
-            bank_wal_bytes: bank_outcome.map_or(0, |o| o.wal_bytes),
-            bank_crashes: bank_outcome.map_or(0, |o| o.counters.crashes),
-            bank_torn_tails: bank_outcome.map_or(0, |o| o.counters.torn_tails),
-            bank_records_replayed: bank_outcome.map_or(0, |o| o.counters.records_replayed),
-            bank_monitor_checks: bank_outcome.map_or(0, |o| o.counters.monitor_checks),
-            bank_monitor_violations: bank_outcome.map_or(0, |o| o.counters.monitor_violations),
-            bank_ledger_digest: bank_outcome.map_or(0, |o| o.ledger_digest),
-            audit_chain_verified: bank_outcome.is_none_or(|o| o.audit_ok),
+            bank_wal_records: settled.bank.map_or(0, |o| o.wal_records),
+            bank_wal_bytes: settled.bank.map_or(0, |o| o.wal_bytes),
+            bank_crashes: settled.bank.map_or(0, |o| o.counters.crashes),
+            bank_torn_tails: settled.bank.map_or(0, |o| o.counters.torn_tails),
+            bank_records_replayed: settled.bank.map_or(0, |o| o.counters.records_replayed),
+            bank_monitor_checks: settled.bank.map_or(0, |o| o.counters.monitor_checks),
+            bank_monitor_violations: settled.bank.map_or(0, |o| o.counters.monitor_violations),
+            bank_ledger_digest: settled.bank.map_or(0, |o| o.ledger_digest),
+            audit_chain_verified: settled.bank.is_none_or(|o| o.audit_ok),
             interrupted: false,
         }
     }
@@ -1677,7 +1399,7 @@ impl Process for SimulationRun {
             } => self.handle_transmit(engine, now, pair, conn, attempt),
             Ev::EpochSettle => {
                 if let Some(fr) = self.fault.as_mut() {
-                    fr.settle_epoch_window();
+                    fr.settlement.flush(&fr.plan);
                 }
             }
             Ev::Arrival { pair } => self.handle_arrival(engine, now, pair),

@@ -4,8 +4,9 @@
 //! [`SimulationRun`] plus its [`Engine`] — the calendar with original
 //! sequence numbers, the sequential routing RNG cursor, the history arena, the
 //! bundle/tracker/attack accumulators, probe state in either mode, the
-//! fault runtime (delivery counters, evidence, fault ledgers, epoch
-//! cursors) and the windowed-metrics buckets — into one framed byte
+//! fault runtime (delivery counters, fault ledgers, the settlement
+//! accumulator and the durable bank) and the windowed-metrics buckets —
+//! into one framed byte
 //! buffer ([`idpa_desim::codec::frame`]: magic, version, length,
 //! FNV-1a checksum). [`restore`] rebuilds a run that continues
 //! **bit-identically** to the uninterrupted one.
@@ -47,8 +48,6 @@ use idpa_overlay::{
     ProbeInvalidation, Residency,
 };
 use idpa_payment::bank::AccountId;
-use idpa_payment::receipt::Receipt;
-use idpa_payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
 
 use std::collections::BTreeMap;
 
@@ -62,7 +61,7 @@ use crate::world::World;
 /// Snapshot format version; bumped on any layout change so a stale
 /// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
 /// misdecoding.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -429,11 +428,6 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
             e.u64(latency_bits);
             e.u64(latency_count);
 
-            e.seq_len(fr.last_completion.len());
-            for &t in &fr.last_completion {
-                e.f64(t);
-            }
-
             let ledgers = fr.reputation.snapshot_ledgers();
             e.seq_len(ledgers.len());
             for (initiator, entries) in &ledgers {
@@ -471,63 +465,6 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
                 e.f64(t);
             }
 
-            for v in &fr.validators {
-                let evidence = v.evidence();
-                e.seq_len(evidence.len());
-                for ev in evidence {
-                    e.u64(ev.manifest.bundle_id);
-                    e.u32(ev.manifest.connection);
-                    e.seq_len(ev.manifest.hops.len());
-                    for h in &ev.manifest.hops {
-                        e.u64(h.0);
-                    }
-                    e.raw(&ev.manifest.mac);
-                    e.seq_len(ev.receipts.len());
-                    for r in &ev.receipts {
-                        e.u64(r.bundle_id);
-                        e.u32(r.connection);
-                        e.u32(r.hop);
-                        e.u64(r.forwarder.0);
-                        e.raw(&r.mac);
-                    }
-                    match &ev.observed_hops {
-                        None => e.bool(false),
-                        Some(obs) => {
-                            e.bool(true);
-                            e.seq_len(obs.len());
-                            for h in obs {
-                                e.u64(h.0);
-                            }
-                        }
-                    }
-                }
-            }
-
-            match &fr.epoch {
-                None => e.bool(false),
-                Some(es) => {
-                    e.bool(true);
-                    for &c in &es.cursors {
-                        e.usize(c);
-                    }
-                    for &x in &es.expected {
-                        e.u64(x);
-                    }
-                    for &x in &es.validated {
-                        e.u64(x);
-                    }
-                    e.seq_len(es.flagged.len());
-                    for &f in &es.flagged {
-                        e.usize(f);
-                    }
-                    e.u64(es.epochs_settled);
-                    e.u64(es.payout_ops);
-                    e.u64(es.batch_ops);
-                    e.u64(es.receipts_netted);
-                    e.u64(es.phantom_flagged);
-                }
-            }
-
             // Adversary counters: the layer's only mutable state (the plan
             // is a pure precomputed schedule, rebuilt from the config).
             e.u64(fr.adv.whitewash_events);
@@ -536,12 +473,44 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
             e.u64(fr.adv.free_rider_refusals);
             e.u64(fr.adv.phantom_injected);
 
+            // Settlement block (v5): the accumulator, not the evidence —
+            // every connection's evidence was checked and dropped when it
+            // completed. `snapshot_hardening.rs` finds the pending window
+            // and the per-pair totals from the end of a bank-less
+            // snapshot, so they stay last, in this order.
+            let st = &fr.settlement;
+            e.seq_len(st.last_completion.len());
+            for &t in &st.last_completion {
+                e.f64(t);
+            }
+            e.seq_len(st.flagged.len());
+            for &f in &st.flagged {
+                e.usize(f);
+            }
+            e.u64(st.phantom_flagged);
+            e.u64(st.epochs_settled);
+            e.u64(st.payout_ops);
+            e.u64(st.batch_ops);
+            e.u64(st.receipts_netted);
+            e.u64(st.pending_connections);
+            e.seq_len(st.pending_paid.len());
+            for (&node, &count) in &st.pending_paid {
+                e.u64(node);
+                e.u64(count);
+            }
+            for &x in &st.expected {
+                e.u64(x);
+            }
+            for &x in &st.validated {
+                e.u64(x);
+            }
+
             // Durable-bank block (v3). The WAL image is the source of
             // truth for ledger state: restore replays it through the same
             // crash-recovery path a real restart would use. Alongside it,
             // only the state the log cannot reproduce: the node-to-account
             // map, the flush/epoch position keys, and the counters.
-            match &fr.bank {
+            match &st.bank {
                 None => e.bool(false),
                 Some(bank) => {
                     e.bool(true);
@@ -871,14 +840,6 @@ pub fn restore(
                 latency_count,
             ));
 
-            let n = d.seq_len(8).map_err(codec)?;
-            if n != n_pairs {
-                return Err(mismatch("completion time length"));
-            }
-            for slot in &mut fr.last_completion {
-                *slot = finite(d.f64().map_err(codec)?, "completion time")?;
-            }
-
             let n_ledgers = d.seq_len(16).map_err(codec)?;
             if cfg.node_lifecycle == NodeLifecycle::Eager && n_ledgers != n_nodes {
                 return Err(mismatch("ledger count"));
@@ -957,105 +918,66 @@ pub fn restore(
             }
             fr.probe_invalid = ProbeInvalidation::from_snapshot(until);
 
-            for (pair, v) in fr.validators.iter_mut().enumerate() {
-                let n_evidence = d.seq_len(29).map_err(codec)?;
-                let mut evidence = Vec::with_capacity(n_evidence);
-                for _ in 0..n_evidence {
-                    let bundle_id = d.u64().map_err(codec)?;
-                    let connection = d.u32().map_err(codec)?;
-                    let n_hops = d.seq_len(8).map_err(codec)?;
-                    let mut hops = Vec::with_capacity(n_hops);
-                    for _ in 0..n_hops {
-                        hops.push(AccountId(d.u64().map_err(codec)?));
-                    }
-                    let mut mac = [0u8; 32];
-                    mac.copy_from_slice(d.raw(32).map_err(codec)?);
-                    let manifest = PathManifest {
-                        bundle_id,
-                        connection,
-                        hops,
-                        mac,
-                    };
-                    let n_receipts = d.seq_len(52).map_err(codec)?;
-                    let mut receipts = Vec::with_capacity(n_receipts);
-                    for _ in 0..n_receipts {
-                        let bundle_id = d.u64().map_err(codec)?;
-                        let connection = d.u32().map_err(codec)?;
-                        let hop = d.u32().map_err(codec)?;
-                        let forwarder = AccountId(d.u64().map_err(codec)?);
-                        let mut mac = [0u8; 32];
-                        mac.copy_from_slice(d.raw(32).map_err(codec)?);
-                        receipts.push(Receipt {
-                            bundle_id,
-                            connection,
-                            hop,
-                            forwarder,
-                            mac,
-                        });
-                    }
-                    let observed_hops = if d.bool().map_err(codec)? {
-                        let n_obs = d.seq_len(8).map_err(codec)?;
-                        let mut obs = Vec::with_capacity(n_obs);
-                        for _ in 0..n_obs {
-                            obs.push(AccountId(d.u64().map_err(codec)?));
-                        }
-                        Some(obs)
-                    } else {
-                        None
-                    };
-                    evidence.push(ConnectionEvidence {
-                        manifest,
-                        receipts,
-                        observed_hops,
-                    });
-                }
-                *v = PathValidator::from_snapshot(&fr.keys[pair], pair as u64, evidence);
-            }
-
-            let epoch_present = d.bool().map_err(codec)?;
-            match (&mut fr.epoch, epoch_present) {
-                (None, false) => {}
-                (Some(es), true) => {
-                    for (pair, slot) in es.cursors.iter_mut().enumerate() {
-                        let c = d.usize().map_err(codec)?;
-                        if c > fr.validators[pair].connections() {
-                            return Err(mismatch("epoch cursor"));
-                        }
-                        *slot = c;
-                    }
-                    for slot in &mut es.expected {
-                        *slot = d.u64().map_err(codec)?;
-                    }
-                    for slot in &mut es.validated {
-                        *slot = d.u64().map_err(codec)?;
-                    }
-                    let n_flagged = d.seq_len(8).map_err(codec)?;
-                    let mut last: Option<usize> = None;
-                    for _ in 0..n_flagged {
-                        let f = idx(d.usize().map_err(codec)?, n_nodes, "flagged forwarder")?;
-                        if last.is_some_and(|prev| prev >= f) {
-                            return Err(mismatch("flagged order"));
-                        }
-                        last = Some(f);
-                        es.flagged.insert(f);
-                    }
-                    es.epochs_settled = d.u64().map_err(codec)?;
-                    es.payout_ops = d.u64().map_err(codec)?;
-                    es.batch_ops = d.u64().map_err(codec)?;
-                    es.receipts_netted = d.u64().map_err(codec)?;
-                    es.phantom_flagged = d.u64().map_err(codec)?;
-                }
-                _ => return Err(mismatch("settlement mode")),
-            }
-
             fr.adv.whitewash_events = d.u64().map_err(codec)?;
             fr.adv.whitewash_evasions = d.u64().map_err(codec)?;
             fr.adv.whitewash_archived = d.u64().map_err(codec)?;
             fr.adv.free_rider_refusals = d.u64().map_err(codec)?;
             fr.adv.phantom_injected = d.u64().map_err(codec)?;
 
+            let st = &mut fr.settlement;
+            let n = d.seq_len(8).map_err(codec)?;
+            if n != n_pairs {
+                return Err(mismatch("completion time length"));
+            }
+            for slot in &mut st.last_completion {
+                *slot = finite(d.f64().map_err(codec)?, "completion time")?;
+            }
+            let n_flagged = d.seq_len(8).map_err(codec)?;
+            let mut last: Option<usize> = None;
+            for _ in 0..n_flagged {
+                let f = idx(d.usize().map_err(codec)?, n_nodes, "flagged forwarder")?;
+                if last.is_some_and(|prev| prev >= f) {
+                    return Err(mismatch("flagged order"));
+                }
+                last = Some(f);
+                st.flagged.insert(f);
+            }
+            st.phantom_flagged = d.u64().map_err(codec)?;
+            st.epochs_settled = d.u64().map_err(codec)?;
+            st.payout_ops = d.u64().map_err(codec)?;
+            st.batch_ops = d.u64().map_err(codec)?;
+            st.receipts_netted = d.u64().map_err(codec)?;
+            st.pending_connections = d.u64().map_err(codec)?;
+            let n_pending = d.seq_len(16).map_err(codec)?;
+            if n_pending > 0 && st.pending_connections == 0 {
+                return Err(mismatch("pending settlement window"));
+            }
+            let mut last: Option<u64> = None;
+            for _ in 0..n_pending {
+                let node = d.u64().map_err(codec)?;
+                idx(node as usize, n_nodes, "pending payout node")?;
+                if last.is_some_and(|prev| prev >= node) {
+                    return Err(mismatch("pending payout order"));
+                }
+                last = Some(node);
+                let count = d.u64().map_err(codec)?;
+                if count == 0 {
+                    return Err(mismatch("pending payout count"));
+                }
+                st.pending_paid.insert(node, count);
+            }
+            for slot in &mut st.expected {
+                *slot = d.u64().map_err(codec)?;
+            }
+            for (slot, &expected) in st.validated.iter_mut().zip(&st.expected) {
+                *slot = d.u64().map_err(codec)?;
+                if *slot > expected {
+                    return Err(mismatch("settled instances"));
+                }
+            }
+
             let bank_present = d.bool().map_err(codec)?;
-            match (fr.bank.is_some(), bank_present) {
+            match (st.bank.is_some(), bank_present) {
                 (false, false) => {}
                 (true, true) => {
                     let wal_len = d.seq_len(1).map_err(codec)?;
@@ -1082,14 +1004,14 @@ pub fn restore(
                         monitor_checks: d.u64().map_err(codec)?,
                         monitor_violations: d.u64().map_err(codec)?,
                     };
-                    fr.bank = Some(BankDurabilityState::restore(
+                    st.bank = Some(BankDurabilityState::restore(
                         &wal,
                         accounts,
                         cfg.settlement == SettlementMode::Epoch,
                         flushes,
                         epochs,
                         counters,
-                    ));
+                    )?);
                 }
                 _ => return Err(mismatch("bank durability presence")),
             }
@@ -1112,7 +1034,19 @@ pub fn restore(
 mod tests {
     use super::*;
     use crate::scenario::{BankDurability, WorkloadMode};
-    use idpa_desim::{FaultConfig, SimTime, StopReason};
+    use idpa_desim::{FaultConfig, FaultResponse, SimTime, StopReason};
+
+    /// Runs `cfg` until `budget` events have fired.
+    fn interrupted(cfg: ScenarioConfig, budget: u64) -> (SimulationRun, Engine<Ev>) {
+        let world = World::generate(&cfg);
+        let mut run = SimulationRun::new(cfg, world);
+        let mut engine = Engine::new();
+        run.schedule_all(&mut engine);
+        engine.set_event_budget(budget);
+        let stop = engine.run(&mut run, Some(SimTime::new(cfg.churn.horizon)));
+        assert_eq!(stop, StopReason::EventBudget, "budget must interrupt");
+        (run, engine)
+    }
 
     /// Run `cfg` to the horizon, snapshotting after `budget` events, then
     /// resume from the snapshot and check the final result matches the
@@ -1121,14 +1055,7 @@ mod tests {
         let horizon = SimTime::new(cfg.churn.horizon);
         let baseline = SimulationRun::execute(cfg);
 
-        let world = World::generate(&cfg);
-        let mut run = SimulationRun::new(cfg, world);
-        let mut engine = Engine::new();
-        run.schedule_all(&mut engine);
-        engine.set_event_budget(budget);
-        let stop = engine.run(&mut run, Some(horizon));
-        assert_eq!(stop, StopReason::EventBudget, "budget must interrupt");
-
+        let (run, engine) = interrupted(cfg, budget);
         let bytes = encode(&run, &engine);
         drop((run, engine));
         let (mut run2, mut engine2) = restore(&cfg, &bytes).expect("restore");
@@ -1182,6 +1109,40 @@ mod tests {
             ..ScenarioConfig::quick_test(13)
         };
         resume_matches(c, 200);
+    }
+
+    /// Epoch settlement without the durable bank, with cheaters flagged
+    /// by the adaptive response: the snapshot falls inside an epoch whose
+    /// pending window already holds payouts, so resume must carry the
+    /// unflushed window and the flagged set.
+    #[test]
+    fn resume_matches_inside_a_pending_epoch_window_with_cheaters() {
+        let c = ScenarioConfig {
+            settlement: SettlementMode::Epoch,
+            epoch_length: 240.0,
+            fault: FaultConfig {
+                drop_rate: 0.05,
+                cheat_fraction: 0.3,
+                cheat_corrupt_share: 0.8,
+                response: FaultResponse::Adaptive,
+                ..FaultConfig::default()
+            },
+            weights: (0.4, 0.4),
+            reputation_weight: 0.2,
+            ..ScenarioConfig::quick_test(17)
+        };
+        let budget = 140;
+        let (run, _) = interrupted(c, budget);
+        let st = &run.fault.as_ref().expect("fault layer on").settlement;
+        assert!(
+            st.pending_connections > 0 && !st.pending_paid.is_empty(),
+            "the budget must fall inside a non-empty pending window"
+        );
+        assert!(
+            !st.flagged.is_empty(),
+            "cheaters flagged before the snapshot"
+        );
+        resume_matches(c, budget);
     }
 
     #[test]

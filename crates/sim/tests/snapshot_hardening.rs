@@ -18,22 +18,27 @@
 //!    free state, e.g. an RNG word) or a typed `Err` — and never panic
 //!    or abort.
 //!
-//! A final test checks the no-partial-mutation contract the service
-//! runner relies on: a failed restore leaves nothing behind — a
+//! Targeted tests then reseal snapshots whose durable-bank WAL image or
+//! settlement block is inconsistent, and expect the decoder's named
+//! mismatch. A final test checks the no-partial-mutation contract the
+//! service runner relies on: a failed restore leaves nothing behind — a
 //! subsequent restore of the intact snapshot still reproduces the
 //! uninterrupted run exactly.
 
 use idpa_desim::rng::StreamFactory;
 use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
+use idpa_payment::wal::WAL_MAGIC;
 use idpa_sim::snapshot::{encode, restore};
 use idpa_sim::{
-    NodeLifecycle, ProbeMode, ScenarioConfig, SimError, SimulationRun, WorkloadMode, World,
+    BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, SimError,
+    SimulationRun, WorkloadMode, World,
 };
 use rand::RngExt;
 
 /// Scenario variants chosen to exercise every optional snapshot section:
 /// fault-free closed, faulty adaptive, epoch settlement, lazy lifecycle,
-/// open workload with windowed metrics.
+/// open workload with windowed metrics, and the durable bank's WAL image
+/// under bank crashes.
 fn scenarios() -> Vec<ScenarioConfig> {
     let base = ScenarioConfig::quick_test(5);
     vec![
@@ -70,7 +75,43 @@ fn scenarios() -> Vec<ScenarioConfig> {
             probe_mode: ProbeMode::Eager,
             ..base
         },
+        durable_bank(),
     ]
+}
+
+/// Per-bundle settlement through the durable bank, with cheaters and a
+/// seeded bank-crash storm (torn tails included).
+fn durable_bank() -> ScenarioConfig {
+    ScenarioConfig {
+        bank_durability: BankDurability::Wal,
+        fault: FaultConfig {
+            drop_rate: 0.05,
+            cheat_fraction: 0.3,
+            bank_crash_rate: 0.3,
+            bank_crash_torn_share: 0.5,
+            ..FaultConfig::default()
+        },
+        ..ScenarioConfig::quick_test(5)
+    }
+}
+
+/// Epoch settlement with adaptive cheater flagging and no durable bank:
+/// its snapshot ends with the settlement block, then the absent-bank flag.
+fn epoch_cheaters() -> ScenarioConfig {
+    ScenarioConfig {
+        settlement: SettlementMode::Epoch,
+        epoch_length: 240.0,
+        fault: FaultConfig {
+            drop_rate: 0.05,
+            cheat_fraction: 0.3,
+            cheat_corrupt_share: 0.8,
+            response: FaultResponse::Adaptive,
+            ..FaultConfig::default()
+        },
+        weights: (0.4, 0.4),
+        reputation_weight: 0.2,
+        ..ScenarioConfig::quick_test(5)
+    }
 }
 
 /// A mid-run snapshot of `cfg` (deep enough that every accumulator holds
@@ -206,6 +247,91 @@ fn resealed_fingerprint_flip_is_a_mismatch() {
         must_fail(&cfg, &bytes, "fingerprint must gate"),
         SimError::SnapshotMismatch {
             what: "configuration fingerprint"
+        }
+    );
+}
+
+/// A WAL image that does not recover cleanly is a typed mismatch. The flip
+/// lands inside the first logged record, so the image's own checksum
+/// fails; resealing the snapshot gets it past the frame.
+#[test]
+fn resealed_wal_flip_is_a_typed_error() {
+    let cfg = durable_bank();
+    let mut bytes = mid_run_snapshot(&cfg);
+    assert!(restore(&cfg, &bytes).is_ok(), "intact snapshot must decode");
+    let wal_at = bytes
+        .windows(WAL_MAGIC.len())
+        .position(|w| w == WAL_MAGIC)
+        .expect("the snapshot carries the WAL image");
+    // Past the record's magic, version and length: its first payload byte.
+    bytes[wal_at + 20] ^= 0x01;
+    reseal(&mut bytes);
+    assert_eq!(
+        must_fail(&cfg, &bytes, "corrupt WAL image"),
+        SimError::SnapshotMismatch {
+            what: "bank WAL image"
+        }
+    );
+}
+
+/// Byte offsets of the settlement block's tail in a snapshot without a
+/// durable bank: the block ends with the pending payouts as (node, count)
+/// pairs, then per-pair `expected` and `validated` totals; the absent-bank
+/// flag and the frame checksum follow. Returns the offsets of the last
+/// two pending nodes, `expected[0]` and `validated[0]`.
+fn settlement_tail(bytes: &[u8], n_pairs: usize) -> [usize; 4] {
+    let validated = bytes.len() - 8 - 1 - 8 * n_pairs;
+    let expected = validated - 8 * n_pairs;
+    [expected - 32, expected - 16, expected, validated]
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn write_u64(bytes: &mut [u8], at: usize, v: u64) {
+    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The settlement block's structural checks: no pair may have more
+/// payable instances than attested ones, and the pending window's node
+/// ids must be in range and strictly increasing.
+#[test]
+fn resealed_settlement_block_tampering_is_a_typed_error() {
+    let cfg = epoch_cheaters();
+    let bytes = mid_run_snapshot(&cfg);
+    assert!(restore(&cfg, &bytes).is_ok(), "intact snapshot must decode");
+    let n_pairs = World::generate(&cfg).pairs.len();
+    let [prev_node, last_node, expected, validated] = settlement_tail(&bytes, n_pairs);
+    let (prev, last) = (read_u64(&bytes, prev_node), read_u64(&bytes, last_node));
+    assert!(
+        prev < last && last < cfg.n_nodes as u64,
+        "the pending window holds two ascending node ids ({prev}, {last})"
+    );
+
+    let tampered = |at: usize, v: u64| {
+        let mut b = bytes.clone();
+        write_u64(&mut b, at, v);
+        reseal(&mut b);
+        must_fail(&cfg, &b, "tampered settlement block")
+    };
+    let settled = read_u64(&bytes, expected);
+    assert_eq!(
+        tampered(validated, settled + 1),
+        SimError::SnapshotMismatch {
+            what: "settled instances"
+        }
+    );
+    assert_eq!(
+        tampered(last_node, cfg.n_nodes as u64),
+        SimError::SnapshotMismatch {
+            what: "pending payout node"
+        }
+    );
+    assert_eq!(
+        tampered(last_node, prev),
+        SimError::SnapshotMismatch {
+            what: "pending payout order"
         }
     );
 }

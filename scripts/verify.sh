@@ -113,8 +113,10 @@ IDPA_FUZZ_SMOKE=1 cargo test -q --offline -p idpa-payment --test fuzz_validator
 # byte-offset truncation and corruption of a recorded WAL must recover the
 # intact prefix), the failover-equivalence matrix (bank crash x settlement
 # mode x shards x snapshot/resume == uninterrupted), and one end-to-end
-# service run with --bank-durability wal under a seeded bank-crash storm.
-# The resumed durable run must be line-identical to the uninterrupted one.
+# service run with --bank-durability wal under a seeded bank-crash storm
+# and confirmation cheaters. The resumed durable run must be line-identical
+# to the uninterrupted one, including its shortfall, flagged cheaters and
+# audit discrepancies.
 stage="WAL smoke (IDPA_WAL_SMOKE=1 wal_recovery + bank_durability + durable service)"
 IDPA_WAL_SMOKE=1 cargo test -q --offline -p idpa-payment --test wal_recovery
 IDPA_WAL_SMOKE=1 cargo test -q --offline -p idpa-sim --test bank_durability
@@ -122,7 +124,7 @@ wal_dir="target/verify-wal"
 mkdir -p "$wal_dir"
 wal_flags=(
     --seed 11 --settlement epoch --bank-durability wal
-    --fault-drop 0.05 --fault-bank-crash 0.5 --fault-bank-crash-torn 0.5
+    --fault-drop 0.05 --fault-cheat 0.3 --fault-bank-crash 0.5 --fault-bank-crash-torn 0.5
 )
 IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
     "${wal_flags[@]}" > "$wal_dir/uninterrupted.txt"
