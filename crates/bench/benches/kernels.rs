@@ -351,7 +351,7 @@ fn bench_probe_tick(h: &mut Harness) {
 /// the eager estimator replays every probe of every tick.
 fn bench_lazy_catchup(h: &mut Harness) {
     use idpa_desim::rng::StreamFactory;
-    use idpa_netmodel::NodeSchedule;
+    use idpa_netmodel::SessionTable;
     use idpa_overlay::LazyProbeSet;
 
     let n = 256usize;
@@ -362,18 +362,16 @@ fn bench_lazy_catchup(h: &mut Harness) {
     let sets = random_neighbor_sets(n, d, &mut topo_rng);
     // Alternating sessions staggered by node index so probes see a mix of
     // live and silent neighbors.
-    let schedules: Vec<NodeSchedule> = (0..n)
-        .map(|i| {
-            let mut sessions = Vec::new();
-            let mut t = (i % 7) as f64 * 3.0;
-            while t < horizon {
-                let up = 40.0 + (i % 5) as f64 * 25.0;
-                sessions.push((t, (t + up).min(horizon)));
-                t += up + 20.0 + (i % 3) as f64 * 15.0;
-            }
-            NodeSchedule::from_sessions(sessions)
-        })
-        .collect();
+    let schedules = SessionTable::from_nodes((0..n).map(|i| {
+        let mut sessions = Vec::new();
+        let mut t = (i % 7) as f64 * 3.0;
+        while t < horizon {
+            let up = 40.0 + (i % 5) as f64 * 25.0;
+            sessions.push((t, (t + up).min(horizon)));
+            t += up + 20.0 + (i % 3) as f64 * 15.0;
+        }
+        sessions
+    }));
     let streams = StreamFactory::new(11);
     let pristine = LazyProbeSet::new(
         period,
@@ -401,10 +399,10 @@ fn bench_lazy_catchup(h: &mut Harness) {
             }
             let now = idpa_desim::SimTime::new(t);
             for est in &mut ests {
-                if !schedules[est.owner().index()].is_up(now) {
+                if !schedules.node(est.owner().index()).is_up(now) {
                     continue;
                 }
-                est.probe_round_seeded(&streams, |v| schedules[v.index()].is_up(now));
+                est.probe_round_seeded(&streams, |v| schedules.node(v.index()).is_up(now));
             }
         }
         ests[0].session_time(sets[0][0])

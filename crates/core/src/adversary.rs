@@ -13,22 +13,30 @@
 //!   the initiator must lie in every such set, so the candidate set shrinks
 //!   with each observation — [`IntersectionAttack`].
 
-use idpa_netmodel::NodeSchedule;
+use idpa_netmodel::SessionTable;
 use idpa_overlay::NodeId;
 
-/// Rewrites the schedules of `attackers` to a single session spanning
-/// `[0, horizon]` — the §5 availability attack. Returns the modified trace.
+/// The trace with the schedules of `attackers` rewritten to a single
+/// session spanning `[0, horizon]` — the §5 availability attack. Every
+/// other node's schedule is copied unchanged.
 #[must_use]
 pub fn apply_availability_attack(
-    mut schedules: Vec<NodeSchedule>,
+    schedules: &SessionTable,
     attackers: &[NodeId],
     horizon: f64,
-) -> Vec<NodeSchedule> {
+) -> SessionTable {
     assert!(horizon > 0.0, "horizon must be positive");
+    let mut pinned = vec![false; schedules.len()];
     for &a in attackers {
-        schedules[a.index()] = NodeSchedule::from_sessions(vec![(0.0, horizon)]);
+        pinned[a.index()] = true;
     }
-    schedules
+    let always_up = [(0.0, horizon)];
+    let mut out =
+        SessionTable::with_capacity(schedules.len(), schedules.session_count() + attackers.len());
+    for (sched, pinned) in schedules.iter().zip(pinned) {
+        out.push_node(if pinned { &always_up } else { sched.sessions() });
+    }
+    out
 }
 
 /// A passive intersection attack on initiator anonymity.
@@ -161,16 +169,14 @@ mod tests {
 
     #[test]
     fn availability_attack_pins_attackers_up() {
-        let schedules = vec![
-            NodeSchedule::from_sessions(vec![(0.0, 10.0)]),
-            NodeSchedule::from_sessions(vec![(5.0, 10.0)]),
-        ];
-        let out = apply_availability_attack(schedules, &[NodeId(1)], 100.0);
-        assert!(out[1].is_up(SimTime::new(0.0)));
-        assert!(out[1].is_up(SimTime::new(99.0)));
-        assert_eq!(out[1].availability(), 1.0);
+        let schedules = SessionTable::from_nodes([[(0.0, 10.0)], [(5.0, 10.0)]]);
+        let out = apply_availability_attack(&schedules, &[NodeId(1)], 100.0);
+        assert!(out.node(1).is_up(SimTime::new(0.0)));
+        assert!(out.node(1).is_up(SimTime::new(99.0)));
+        assert_eq!(out.node(1).availability(), 1.0);
         // Non-attacker untouched.
-        assert!(!out[0].is_up(SimTime::new(50.0)));
+        assert_eq!(out.node(0), schedules.node(0));
+        assert!(!out.node(0).is_up(SimTime::new(50.0)));
     }
 
     #[test]

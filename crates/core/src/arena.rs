@@ -37,6 +37,7 @@
 //! the flat `Vec<HistoryProfile>` layout under randomized interleaved
 //! commits (including dropped-confirmation suffix commits).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -80,32 +81,23 @@ impl Hasher for Mix64Hasher {
     }
 }
 
-/// Packs a `(predecessor, successor)` pair into one injective `u64` key.
-fn pred_succ_key(predecessor: NodeId, successor: NodeId) -> u64 {
-    debug_assert!(predecessor.index() < (1 << 32) && successor.index() < (1 << 32));
-    ((predecessor.index() as u64) << 32) | successor.index() as u64
-}
-
 /// One `(node, bundle)` slot: that node's records for that bundle plus the
-/// incremental selectivity indexes. Semantics mirror the private
+/// incremental successor index behind `σ`. Semantics mirror the private
 /// `BundleHistory` inside [`crate::history::HistoryProfile`] exactly:
 /// append order is arrival order, eviction drops oldest first and unwinds
-/// both indexes, and empty counters are removed.
+/// the index, and empty counters are removed. The position-aware
+/// `(predecessor, successor)` count has no run-path reader, so it keeps no
+/// index: it rescans the retained records on demand.
 #[derive(Debug, Clone, Default)]
 struct Cell {
     records: Vec<HistoryRecord>,
     by_succ: HashMap<u64, ConnCounter, Mix64State>,
-    by_pred_succ: HashMap<u64, ConnCounter, Mix64State>,
 }
 
 impl Cell {
     fn push(&mut self, record: HistoryRecord) {
         self.by_succ
             .entry(record.successor.index() as u64)
-            .or_default()
-            .add(record.connection);
-        self.by_pred_succ
-            .entry(pred_succ_key(record.predecessor, record.successor))
             .or_default()
             .add(record.connection);
         self.records.push(record);
@@ -118,13 +110,6 @@ impl Cell {
                 counter.remove(old.connection);
                 if counter.is_empty() {
                     self.by_succ.remove(&succ_key);
-                }
-            }
-            let pair_key = pred_succ_key(old.predecessor, old.successor);
-            if let Some(counter) = self.by_pred_succ.get_mut(&pair_key) {
-                counter.remove(old.connection);
-                if counter.is_empty() {
-                    self.by_pred_succ.remove(&pair_key);
                 }
             }
         }
@@ -148,11 +133,19 @@ impl Cell {
             .map_or(0, |c| c.distinct_below(priors))
     }
 
-    /// Distinct prior connections `predecessor -> owner -> v`.
+    /// Distinct prior connections `predecessor -> owner -> v`, by a scan
+    /// of the retained records (the semantics of
+    /// [`crate::history::HistoryProfile::selectivity_from_rescan`]).
     fn distinct_pred_succ(&self, priors: u32, predecessor: NodeId, v: NodeId) -> usize {
-        self.by_pred_succ
-            .get(&pred_succ_key(predecessor, v))
-            .map_or(0, |c| c.distinct_below(priors))
+        let mut conns: Vec<u32> = self
+            .records
+            .iter()
+            .filter(|r| r.connection < priors && r.predecessor == predecessor && r.successor == v)
+            .map(|r| r.connection)
+            .collect();
+        conns.sort_unstable();
+        conns.dedup();
+        conns.len()
     }
 }
 
@@ -309,16 +302,12 @@ impl HistoryArena {
     }
 
     /// Zero-lock exclusive view: with `&mut self` no other borrow can
-    /// exist, so every shard is reached through `Mutex::get_mut`.
+    /// exist, so every shard is reached through `Mutex::get_mut`. The view
+    /// borrows the shard slice itself, so taking it allocates nothing.
     pub fn exclusive(&mut self) -> ArenaExclusive<'_> {
-        let capacity = self.capacity_per_bundle;
         ArenaExclusive {
-            shards: self
-                .shards
-                .iter_mut()
-                .map(|m| unpoison(m.get_mut()))
-                .collect(),
-            capacity,
+            shards: RefCell::new(self.shards.as_mut_slice()),
+            capacity: self.capacity_per_bundle,
         }
     }
 
@@ -441,22 +430,30 @@ impl HistoryArena {
 }
 
 /// Exclusive no-lock view over every shard — see
-/// [`HistoryArena::exclusive`].
+/// [`HistoryArena::exclusive`]. Reads come through `&self` (the
+/// [`HistoryRead`] contract), so the `&mut` shard slice sits in a
+/// `RefCell`: each query borrows it for its own duration only, and
+/// `Mutex::get_mut` then reaches the shard without locking.
 #[derive(Debug)]
 pub struct ArenaExclusive<'a> {
-    shards: Vec<&'a mut Shard>,
+    shards: RefCell<&'a mut [Mutex<Shard>]>,
     capacity: Option<usize>,
 }
 
 impl ArenaExclusive<'_> {
-    fn shard(&self, node: NodeId) -> &Shard {
-        &*self.shards[node.index() % self.shards.len()]
+    /// Runs `f` on `node`'s home shard.
+    fn with_shard<R>(&self, node: NodeId, f: impl FnOnce(&Shard) -> R) -> R {
+        let mut shards = self.shards.borrow_mut();
+        let i = node.index() % shards.len();
+        f(&*unpoison(shards[i].get_mut()))
     }
 }
 
 impl HistoryRead for ArenaExclusive<'_> {
     fn selectivity_at(&self, s: NodeId, bundle: BundleId, priors: u32, v: NodeId) -> f64 {
-        cell_selectivity(self.shard(s).cell(s, bundle), priors, v)
+        self.with_shard(s, |shard| {
+            cell_selectivity(shard.cell(s, bundle), priors, v)
+        })
     }
 
     fn selectivity_from_at(
@@ -467,7 +464,9 @@ impl HistoryRead for ArenaExclusive<'_> {
         predecessor: NodeId,
         v: NodeId,
     ) -> f64 {
-        cell_selectivity_from(self.shard(s).cell(s, bundle), priors, predecessor, v)
+        self.with_shard(s, |shard| {
+            cell_selectivity_from(shard.cell(s, bundle), priors, predecessor, v)
+        })
     }
 }
 
@@ -480,17 +479,20 @@ impl HistoryWrite for ArenaExclusive<'_> {
         predecessor: NodeId,
         successor: NodeId,
     ) {
-        let shard_idx = node.index() % self.shards.len();
         let capacity = self.capacity;
-        self.shards[shard_idx].cell_mut(node, bundle).record(
-            HistoryRecord {
-                bundle,
-                connection,
-                predecessor,
-                successor,
-            },
-            capacity,
-        );
+        let shards = self.shards.get_mut();
+        let shard_idx = node.index() % shards.len();
+        unpoison(shards[shard_idx].get_mut())
+            .cell_mut(node, bundle)
+            .record(
+                HistoryRecord {
+                    bundle,
+                    connection,
+                    predecessor,
+                    successor,
+                },
+                capacity,
+            );
     }
 }
 
@@ -763,7 +765,6 @@ mod tests {
                 ex.record_hop(n(2), BundleId(7), conn, n(1), n(conn as usize % 3));
                 ex.record_hop(n(6), BundleId(7), conn, n(2), n(4));
             }
-            drop(ex);
             arena
         };
         let absorbed = {

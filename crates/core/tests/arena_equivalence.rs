@@ -232,7 +232,6 @@ fn concurrent_disjoint_bundle_commits_match_sequential_replay() {
                 apply(&mut view, commit);
             }
         }
-        drop(view);
         arena
     };
 

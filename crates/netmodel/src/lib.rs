@@ -24,7 +24,7 @@ pub mod cost;
 pub mod dist;
 pub mod trace;
 
-pub use churn::{ChurnConfig, ChurnModel, NodeSchedule};
+pub use churn::{ChurnConfig, ChurnModel, NodeSchedule, SessionTable};
 pub use cost::{CostConfig, CostModel};
 pub use dist::{Exponential, Pareto};
 pub use trace::{from_csv as trace_from_csv, to_csv as trace_to_csv};

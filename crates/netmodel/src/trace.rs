@@ -3,8 +3,8 @@
 //! The synthetic churn model (Poisson joins, Pareto sessions) matches the
 //! paper's setup, but a reproduction should also run against *measured*
 //! traces (e.g. the Saroiu et al. measurements the paper's session model
-//! is calibrated to). This module round-trips per-node session schedules
-//! through a minimal CSV dialect:
+//! is calibrated to). This module round-trips a [`SessionTable`] through a
+//! minimal CSV dialect:
 //!
 //! ```csv
 //! node,start,end
@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::churn::NodeSchedule;
+use crate::churn::SessionTable;
 
 /// Errors while parsing a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl std::error::Error for TraceError {}
 
 /// Serialises schedules to the CSV dialect (header included).
 #[must_use]
-pub fn to_csv(schedules: &[NodeSchedule]) -> String {
+pub fn to_csv(schedules: &SessionTable) -> String {
     let mut out = String::from("node,start,end\n");
     for (node, sched) in schedules.iter().enumerate() {
         for &(start, end) in sched.sessions() {
@@ -68,8 +68,8 @@ pub fn to_csv(schedules: &[NodeSchedule]) -> String {
 ///
 /// `n_nodes` fixes the output length (nodes with no rows get empty
 /// schedules — a node that never came up). Node ids must be `< n_nodes`.
-pub fn from_csv(csv: &str, n_nodes: usize) -> Result<Vec<NodeSchedule>, TraceError> {
-    let mut sessions: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_nodes];
+pub fn from_csv(csv: &str, n_nodes: usize) -> Result<SessionTable, TraceError> {
+    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
     for (idx, raw) in csv.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -116,16 +116,23 @@ pub fn from_csv(csv: &str, n_nodes: usize) -> Result<Vec<NodeSchedule>, TraceErr
                 reason: format!("empty or inverted session ({start}, {end})"),
             });
         }
-        sessions[node].push((start, end));
+        rows.push((node, start, end));
     }
 
-    let mut out = Vec::with_capacity(n_nodes);
-    for (node, mut s) in sessions.into_iter().enumerate() {
-        s.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        if s.windows(2).any(|w| w[0].1 > w[1].0) {
+    // Group by node, each node's sessions by start (times are finite).
+    rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut out = SessionTable::with_capacity(n_nodes, rows.len());
+    let mut sessions = Vec::new();
+    let mut rest = rows.as_slice();
+    for node in 0..n_nodes {
+        let k = rest.partition_point(|&(n, _, _)| n == node);
+        sessions.clear();
+        sessions.extend(rest[..k].iter().map(|&(_, s, e)| (s, e)));
+        rest = &rest[k..];
+        if sessions.windows(2).any(|w| w[0].1 > w[1].0) {
             return Err(TraceError::BadSchedule { node });
         }
-        out.push(NodeSchedule::from_sessions(s));
+        out.push_node(&sessions);
     }
     Ok(out)
 }
@@ -153,17 +160,17 @@ mod tests {
     fn parses_unordered_rows() {
         let csv = "node,start,end\n1,5.0,6.0\n0,1.0,2.0\n1,0.5,1.5\n";
         let scheds = from_csv(csv, 2).unwrap();
-        assert_eq!(scheds[0].sessions(), &[(1.0, 2.0)]);
-        assert_eq!(scheds[1].sessions(), &[(0.5, 1.5), (5.0, 6.0)]);
+        assert_eq!(scheds.node(0).sessions(), &[(1.0, 2.0)]);
+        assert_eq!(scheds.node(1).sessions(), &[(0.5, 1.5), (5.0, 6.0)]);
     }
 
     #[test]
     fn missing_nodes_get_empty_schedules() {
         let csv = "node,start,end\n2,1.0,2.0\n";
         let scheds = from_csv(csv, 4).unwrap();
-        assert!(scheds[0].sessions().is_empty());
-        assert!(scheds[3].sessions().is_empty());
-        assert_eq!(scheds[2].sessions().len(), 1);
+        assert!(scheds.node(0).sessions().is_empty());
+        assert!(scheds.node(3).sessions().is_empty());
+        assert_eq!(scheds.node(2).sessions().len(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The eager [`ProbeEstimator`](crate::ProbeEstimator) is advanced by a
 //! global sweep at every probe tick — O(N·d) work per tick whether or not
 //! anyone reads the estimates. But the churn schedule is known analytically
-//! (`NodeSchedule` holds each node's `[up, down)` intervals), so the state
+//! (a `SessionTable` holds each node's `[up, down)` intervals), so the state
 //! an estimator would have reached at time `t` is computable in closed
 //! form: the number of probe ticks `k·T ≤ t` falling inside an intersection
 //! of the owner's and a neighbor's sessions gives the live-round count, and
@@ -44,10 +44,11 @@ use std::sync::Arc;
 
 use idpa_desim::pool::parallel_map;
 use idpa_desim::rng::StreamFactory;
-use idpa_netmodel::NodeSchedule;
+use idpa_netmodel::SessionTable;
 
 use crate::node::NodeId;
 use crate::probe::{ProbeEstimator, ProbeEstimatorState};
+use crate::topology::Topology;
 
 /// The probe tick index `k` as a simulation time, computed as a product so
 /// that eager scheduling and lazy reconstruction agree to the last bit.
@@ -217,7 +218,7 @@ struct LazyCtx {
     streams: StreamFactory,
     /// Shared with the world (and any sibling probe sets): the analytic
     /// schedules are the one O(N) structure every lifecycle keeps resident.
-    schedules: Arc<Vec<NodeSchedule>>,
+    schedules: Arc<SessionTable>,
 }
 
 /// Sentinel in a cell's due cache: the slot's due tick must be recomputed.
@@ -271,20 +272,20 @@ fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, to: u64) {
         // code path itself, so equivalence is by construction.
         for k in (after + 1)..=to {
             let t = idpa_desim::SimTime::new(tick_time(k, ctx.period));
-            if ctx.schedules[cell.est.owner.index()].is_up(t) {
+            if ctx.schedules.node(cell.est.owner.index()).is_up(t) {
                 let sch = &ctx.schedules;
                 cell.est
-                    .probe_round_seeded(&ctx.streams, |v| sch[v.index()].is_up(t));
+                    .probe_round_seeded(&ctx.streams, |v| sch.node(v.index()).is_up(t));
             }
         }
         cell.synced_tick = to;
         return;
     }
-    let own = ctx.schedules[cell.est.owner.index()].sessions();
+    let own = ctx.schedules.node(cell.est.owner.index()).sessions();
     let new_rounds = count_up_ticks(own, ctx.period, after, to);
     if new_rounds > 0 {
         for i in 0..cell.est.neighbors.len() {
-            let nbr = ctx.schedules[cell.est.neighbors[i].index()].sessions();
+            let nbr = ctx.schedules.node(cell.est.neighbors[i].index()).sessions();
             let mut live = 0u64;
             let mut first = None;
             let mut last = 0u64;
@@ -335,8 +336,8 @@ fn slot_due(
 ) -> Option<u64> {
     debug_assert!(thr >= 1, "lazy maintenance needs threshold >= 1");
     let after = synced_tick;
-    let own = ctx.schedules[est.owner.index()].sessions();
-    let nbr = ctx.schedules[est.neighbors[i].index()].sessions();
+    let own = ctx.schedules.node(est.owner.index()).sessions();
+    let nbr = ctx.schedules.node(est.neighbors[i].index()).sessions();
     let gap0 = est.rounds - est.last_alive_round[i];
     // The slot falls due at the `due_pos`-th owner-up tick after the sync
     // frontier, unless a joint-live tick resets the silence gap first. A
@@ -490,9 +491,9 @@ struct SparseCell {
 #[derive(Debug, Clone)]
 struct SparseCells {
     map: HashMap<usize, SparseCell>,
-    /// Initial neighbor sets, shared with the topology owner: the seed
-    /// every (re-)materialization starts its trajectory from.
-    init_neighbors: Arc<Vec<Vec<NodeId>>>,
+    /// Initial neighbor sets — the world's topology itself, shared: the
+    /// seed every (re-)materialization starts its trajectory from.
+    init_neighbors: Arc<Topology>,
     stats: Residency,
 }
 
@@ -500,7 +501,7 @@ impl SparseCells {
     /// Materializes (if absent) and syncs node `s`'s cell through `target`.
     fn touch(&mut self, s: NodeId, target: u64, ctx: &LazyCtx) -> &mut ProbeCell {
         if !self.map.contains_key(&s.index()) {
-            let nbrs = self.init_neighbors[s.index()].clone();
+            let nbrs = self.init_neighbors.neighbors(s).to_vec();
             let footprint = cell_footprint(nbrs.len());
             let cell = ProbeCell {
                 est: ProbeEstimator::new(s, ctx.period, nbrs),
@@ -581,7 +582,7 @@ impl LazyProbeSet {
     pub fn new(
         period: f64,
         horizon: f64,
-        schedules: Vec<NodeSchedule>,
+        schedules: SessionTable,
         neighbors: Vec<Vec<NodeId>>,
         threshold: Option<u64>,
         streams: StreamFactory,
@@ -602,7 +603,7 @@ impl LazyProbeSet {
     pub fn new_shared(
         period: f64,
         horizon: f64,
-        schedules: Arc<Vec<NodeSchedule>>,
+        schedules: Arc<SessionTable>,
         neighbors: Vec<Vec<NodeId>>,
         threshold: Option<u64>,
         streams: StreamFactory,
@@ -642,13 +643,15 @@ impl LazyProbeSet {
     /// touched by a read or maintenance query, and idle cells can be
     /// evicted back to nothing ([`LazyProbeSet::evict_idle`]). Resident
     /// memory scales with the touched working set, never with `N`; query
-    /// results are bit-identical to the dense store's.
+    /// results are bit-identical to the dense store's. The initial
+    /// neighbor sets are read from the shared `neighbors` topology in
+    /// place; a node's list is copied only when its cell materializes.
     #[must_use]
     pub fn new_sparse(
         period: f64,
         horizon: f64,
-        schedules: Arc<Vec<NodeSchedule>>,
-        neighbors: Arc<Vec<Vec<NodeId>>>,
+        schedules: Arc<SessionTable>,
+        neighbors: Arc<Topology>,
         threshold: Option<u64>,
         streams: StreamFactory,
     ) -> Self {
@@ -1052,7 +1055,8 @@ mod tests {
     #[test]
     fn tick_helpers_agree_with_is_up_semantics() {
         use idpa_desim::SimTime;
-        let sched = NodeSchedule::from_sessions(vec![(2.5, 10.0), (12.0, 13.0)]);
+        let table = SessionTable::from_nodes([[(2.5, 10.0), (12.0, 13.0)]]);
+        let sched = table.node(0);
         let period = 2.5;
         for k in 1..8u64 {
             let t = tick_time(k, period);
@@ -1085,10 +1089,8 @@ mod tests {
         let streams = StreamFactory::new(17);
         let period = 5.0;
         let horizon = 100.0;
-        let schedules = vec![
-            NodeSchedule::from_sessions(vec![(0.0, 100.0)]),
-            NodeSchedule::from_sessions(vec![(12.0, 40.0), (60.0, 80.0)]),
-        ];
+        let schedules =
+            SessionTable::from_nodes([vec![(0.0, 100.0)], vec![(12.0, 40.0), (60.0, 80.0)]]);
         let neighbors = vec![vec![NodeId(1)], vec![NodeId(0)]];
 
         // Eager reference.
@@ -1098,10 +1100,10 @@ mod tests {
         let mut k = 1u64;
         while tick_time(k, period) < horizon {
             let t = idpa_desim::SimTime::new(tick_time(k, period));
-            for i in 0..2 {
-                if schedules[i].is_up(t) {
+            for (i, est) in eager.iter_mut().enumerate() {
+                if schedules.node(i).is_up(t) {
                     let sch = &schedules;
-                    eager[i].probe_round_seeded(&streams, |v| sch[v.index()].is_up(t));
+                    est.probe_round_seeded(&streams, |v| sch.node(v.index()).is_up(t));
                 }
             }
             k += 1;
@@ -1116,10 +1118,7 @@ mod tests {
     #[test]
     fn queries_at_intermediate_times_see_partial_state() {
         let streams = StreamFactory::new(5);
-        let schedules = vec![
-            NodeSchedule::from_sessions(vec![(0.0, 50.0)]),
-            NodeSchedule::from_sessions(vec![(0.0, 50.0)]),
-        ];
+        let schedules = SessionTable::from_nodes([vec![(0.0, 50.0)], vec![(0.0, 50.0)]]);
         let lazy = LazyProbeSet::new(
             5.0,
             50.0,
@@ -1139,12 +1138,10 @@ mod tests {
     fn sync_all_is_thread_count_invariant() {
         let streams = StreamFactory::new(23);
         let n = 12;
-        let schedules: Vec<NodeSchedule> = (0..n)
-            .map(|i| {
-                let s = f64::from(i) * 1.7;
-                NodeSchedule::from_sessions(vec![(s, s + 37.0), (s + 50.0, s + 90.0)])
-            })
-            .collect();
+        let schedules = SessionTable::from_nodes((0..n).map(|i| {
+            let s = f64::from(i) * 1.7;
+            vec![(s, s + 37.0), (s + 50.0, s + 90.0)]
+        }));
         let neighbors: Vec<Vec<NodeId>> = (0..n as usize)
             .map(|i| vec![NodeId((i + 1) % n as usize), NodeId((i + 3) % n as usize)])
             .collect();
@@ -1173,13 +1170,11 @@ mod tests {
         }
     }
 
-    fn staggered_world(n: usize) -> (Vec<NodeSchedule>, Vec<Vec<NodeId>>) {
-        let schedules: Vec<NodeSchedule> = (0..n)
-            .map(|i| {
-                let s = i as f64 * 1.7;
-                NodeSchedule::from_sessions(vec![(s, s + 37.0), (s + 50.0, s + 90.0)])
-            })
-            .collect();
+    fn staggered_world(n: usize) -> (SessionTable, Vec<Vec<NodeId>>) {
+        let schedules = SessionTable::from_nodes((0..n).map(|i| {
+            let s = i as f64 * 1.7;
+            vec![(s, s + 37.0), (s + 50.0, s + 90.0)]
+        }));
         let neighbors: Vec<Vec<NodeId>> = (0..n)
             .map(|i| vec![NodeId((i + 1) % n), NodeId((i + 3) % n)])
             .collect();
@@ -1202,7 +1197,7 @@ mod tests {
             1.0,
             120.0,
             Arc::new(schedules),
-            Arc::new(neighbors),
+            Arc::new(Topology::from_lists(neighbors)),
             Some(4),
             streams,
         );
@@ -1242,7 +1237,7 @@ mod tests {
             1.0,
             120.0,
             Arc::new(schedules),
-            Arc::new(neighbors),
+            Arc::new(Topology::from_lists(neighbors)),
             Some(3),
             streams,
         );
@@ -1288,7 +1283,7 @@ mod tests {
             1.0,
             100.0,
             Arc::new(schedules.clone()),
-            Arc::new(neighbors.clone()),
+            Arc::new(Topology::from_lists(neighbors.clone())),
             None,
             streams.clone(),
         );
@@ -1311,11 +1306,11 @@ mod tests {
         let streams = StreamFactory::new(40);
         // Owner always up; the only neighbor is never up, so it falls due
         // exactly at the threshold-th tick.
-        let schedules = vec![
-            NodeSchedule::from_sessions(vec![(0.0, 1000.0)]),
-            NodeSchedule::from_sessions(vec![(990.0, 1000.0)]),
-            NodeSchedule::from_sessions(vec![(0.0, 1000.0)]),
-        ];
+        let schedules = SessionTable::from_nodes([
+            vec![(0.0, 1000.0)],
+            vec![(990.0, 1000.0)],
+            vec![(0.0, 1000.0)],
+        ]);
         let lazy = LazyProbeSet::new(
             10.0,
             1000.0,
@@ -1370,24 +1365,22 @@ mod tests {
         rng: &mut idpa_desim::rng::Xoshiro256StarStar,
         n: usize,
         horizon: f64,
-    ) -> (Vec<NodeSchedule>, Vec<Vec<NodeId>>) {
+    ) -> (SessionTable, Vec<Vec<NodeId>>) {
         use rand::RngExt;
-        let schedules = (0..n)
-            .map(|_| {
-                let mut sessions = Vec::new();
-                let mut t = rng.random_range(0.0..10.0);
-                while t < horizon {
-                    let up = if rng.random_range(0..2u32) == 0 {
-                        rng.random_range(1..12u32).into()
-                    } else {
-                        rng.random_range(0.5..12.0)
-                    };
-                    sessions.push((t, (t + up).min(horizon)));
-                    t += up + rng.random_range(0.5..15.0);
-                }
-                NodeSchedule::from_sessions(sessions)
-            })
-            .collect();
+        let schedules = SessionTable::from_nodes((0..n).map(|_| {
+            let mut sessions = Vec::new();
+            let mut t = rng.random_range(0.0..10.0);
+            while t < horizon {
+                let up = if rng.random_range(0..2u32) == 0 {
+                    rng.random_range(1..12u32).into()
+                } else {
+                    rng.random_range(0.5..12.0)
+                };
+                sessions.push((t, (t + up).min(horizon)));
+                t += up + rng.random_range(0.5..15.0);
+            }
+            sessions
+        }));
         let neighbors = (0..n)
             .map(|i| {
                 let mut nbrs: Vec<NodeId> = Vec::new();
@@ -1428,7 +1421,7 @@ mod tests {
                 1.0,
                 horizon,
                 Arc::new(schedules),
-                Arc::new(neighbors),
+                Arc::new(Topology::from_lists(neighbors)),
                 Some(thr),
                 streams,
             );

@@ -10,10 +10,14 @@ use rand::RngExt;
 
 use crate::node::NodeId;
 
-/// A directed, fixed-out-degree neighbor relation over `n` nodes.
+/// A directed, fixed-out-degree neighbor relation over `n` nodes, stored
+/// as one flat CSR array: node `s`'s neighbors are
+/// `neighbors[offsets[s]..offsets[s + 1]]` (sorted when sampled by
+/// [`Topology::random`], in the given order from [`Topology::from_lists`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    neighbors: Vec<Vec<NodeId>>,
+    neighbors: Vec<NodeId>,
+    offsets: Vec<usize>,
     degree: usize,
 }
 
@@ -34,40 +38,57 @@ impl Topology {
         // *sparsely*: the candidate array is never materialized. Position
         // `i` of the virtual array holds `i` (or `i + 1` once past the
         // excluded self entry); the handful of slots an earlier swap
-        // displaced live in a small map. The draws are `random_range(k..n-1)`
-        // either way — bounds depend only on `n`, not on array contents — so
-        // the bit stream, and therefore every sampled topology, is identical
-        // to the dense construction at O(d) instead of O(n) per node.
-        let mut displaced: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut neighbors = Vec::with_capacity(n);
+        // displaced live in a short list of `(position, value)` entries —
+        // at most one per draw, so a linear scan of at most `degree`
+        // entries beats any hash map at the paper's d = 5. The draws are
+        // `random_range(k..n-1)` either way — bounds depend only on `n`,
+        // not on array contents — so the bit stream, and therefore every
+        // sampled topology, is identical to the dense construction at O(d²)
+        // instead of O(n) per node.
+        let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(degree);
+        let mut neighbors = Vec::with_capacity(n * degree);
         for s in 0..n {
             displaced.clear();
-            let virt = |i: usize| if i < s { i } else { i + 1 };
-            let mut chosen = Vec::with_capacity(degree);
+            let at = |displaced: &[(usize, usize)], i: usize| {
+                displaced
+                    .iter()
+                    .find(|&&(pos, _)| pos == i)
+                    .map_or(if i < s { i } else { i + 1 }, |&(_, v)| v)
+            };
+            let start = neighbors.len();
             for k in 0..degree {
                 let pick = rng.random_range(k..n - 1);
-                let picked = displaced.get(&pick).copied().unwrap_or_else(|| virt(pick));
+                let picked = at(&displaced, pick);
                 // Complete the swap: position `pick` inherits position `k`'s
                 // value. Position `k` itself is never read again (later
                 // draws range over `k+1..`), so only this half matters.
-                let at_k = displaced.get(&k).copied().unwrap_or_else(|| virt(k));
-                displaced.insert(pick, at_k);
-                chosen.push(NodeId(picked));
+                let at_k = at(&displaced, k);
+                match displaced.iter_mut().find(|(pos, _)| *pos == pick) {
+                    Some(entry) => entry.1 = at_k,
+                    None => displaced.push((pick, at_k)),
+                }
+                neighbors.push(NodeId(picked));
             }
-            chosen.sort_unstable();
-            neighbors.push(chosen);
+            neighbors[start..].sort_unstable();
         }
-        Topology { neighbors, degree }
+        Topology {
+            neighbors,
+            offsets: (0..=n).map(|s| s * degree).collect(),
+            degree,
+        }
     }
 
     /// Builds a topology from explicit adjacency lists (used by tests and
     /// the worked example of Figs. 1–2). Validates no self-loops and no
-    /// duplicate neighbors.
+    /// duplicate neighbors; lists may differ in length, and the configured
+    /// degree is the longest.
     #[must_use]
     pub fn from_lists(lists: Vec<Vec<NodeId>>) -> Self {
         let n = lists.len();
         let mut degree = 0;
+        let mut neighbors = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
         for (s, nbrs) in lists.iter().enumerate() {
             degree = degree.max(nbrs.len());
             let mut seen = std::collections::HashSet::new();
@@ -76,9 +97,12 @@ impl Topology {
                 assert!(v.index() != s, "self-loop at {s}");
                 assert!(seen.insert(v), "duplicate neighbor {v} at node {s}");
             }
+            neighbors.extend_from_slice(nbrs);
+            offsets.push(neighbors.len());
         }
         Topology {
-            neighbors: lists,
+            neighbors,
+            offsets,
             degree,
         }
     }
@@ -86,13 +110,13 @@ impl Topology {
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.neighbors.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the topology has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
+        self.len() == 0
     }
 
     /// The configured out-degree `d`.
@@ -102,15 +126,26 @@ impl Topology {
     }
 
     /// The neighbor set `D(s)`.
+    #[inline]
     #[must_use]
     pub fn neighbors(&self, s: NodeId) -> &[NodeId] {
-        &self.neighbors[s.index()]
+        &self.neighbors[self.offsets[s.index()]..self.offsets[s.index() + 1]]
     }
 
-    /// Whether `v ∈ D(s)`.
+    /// Every node's neighbor set as an owned list — the mutable per-node
+    /// copy a probe store that replaces neighbors starts from.
+    #[must_use]
+    pub fn neighbor_lists(&self) -> Vec<Vec<NodeId>> {
+        (0..self.len())
+            .map(|s| self.neighbors(NodeId(s)).to_vec())
+            .collect()
+    }
+
+    /// Whether `v ∈ D(s)`. A linear scan: `from_lists` keeps its lists in
+    /// the given order, so they need not be sorted.
     #[must_use]
     pub fn is_neighbor(&self, s: NodeId, v: NodeId) -> bool {
-        self.neighbors[s.index()].binary_search(&v).is_ok()
+        self.neighbors(s).contains(&v)
     }
 
     /// Nodes that have `v` in their neighbor set (the reverse relation);
@@ -213,12 +248,24 @@ mod tests {
         // The shipped sampler simulates the candidate array sparsely; this
         // pins it bit-for-bit against the dense partial Fisher-Yates it
         // replaced, across self-exclusion positions and near-full degrees.
-        for (n, d, seed) in [
+        // The near-full and high-degree cases make picks land many times
+        // on already-displaced slots; the seeded tuples cover the rest.
+        let mut cases = vec![
             (40usize, 5usize, 1u64),
             (17, 16, 2),
             (300, 3, 9),
             (6, 5, 10),
-        ] {
+            (64, 63, 11),
+            (200, 150, 12),
+            (2000, 64, 13),
+        ];
+        let mut r = rng(99);
+        for _ in 0..20 {
+            let n = r.random_range(2..400);
+            let d = r.random_range(1..n);
+            cases.push((n, d, r.next()));
+        }
+        for (n, d, seed) in cases {
             let sparse = Topology::random(n, d, &mut rng(seed));
             let mut r = rng(seed);
             let mut lists = Vec::new();
@@ -233,8 +280,34 @@ mod tests {
                 chosen.sort_unstable();
                 lists.push(chosen);
             }
-            assert_eq!(sparse, Topology::from_lists(lists));
+            assert_eq!(
+                sparse,
+                Topology::from_lists(lists),
+                "n={n} d={d} seed={seed}"
+            );
         }
+    }
+
+    #[test]
+    fn from_lists_round_trips_unequal_degrees_through_csr() {
+        let lists = vec![
+            vec![NodeId(4), NodeId(1), NodeId(3)],
+            vec![],
+            vec![NodeId(0)],
+            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(4)],
+            vec![NodeId(2), NodeId(3)],
+        ];
+        let t = Topology::from_lists(lists.clone());
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.degree(), 4);
+        for (s, nbrs) in lists.iter().enumerate() {
+            assert_eq!(t.neighbors(NodeId(s)), nbrs.as_slice(), "node {s}");
+        }
+        assert_eq!(t.neighbor_lists(), lists);
+        assert!(t.is_neighbor(NodeId(3), NodeId(2)));
+        // Unsorted lists keep their order and still answer membership.
+        assert!(t.is_neighbor(NodeId(0), NodeId(4)));
+        assert!(!t.is_neighbor(NodeId(1), NodeId(0)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::SimTime;
-use idpa_netmodel::NodeSchedule;
+use idpa_netmodel::SessionTable;
 use idpa_overlay::probe_lazy::tick_time;
 use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator};
 use rand::RngExt;
@@ -16,7 +16,7 @@ use rand::RngExt;
 struct Case {
     period: f64,
     horizon: f64,
-    schedules: Vec<NodeSchedule>,
+    schedules: SessionTable,
     neighbors: Vec<Vec<NodeId>>,
     threshold: Option<u64>,
     streams: StreamFactory,
@@ -26,34 +26,32 @@ fn random_case(rng: &mut Xoshiro256StarStar) -> Case {
     let n = rng.random_range(4..12usize);
     let period = [0.5, 1.0, 2.5, 5.0][rng.random_range(0..4usize)];
     let horizon = period * rng.random_range(20..120u32) as f64;
-    let schedules = (0..n)
-        .map(|_| {
-            let mut sessions = Vec::new();
-            // Random alternating up/down walk; some nodes join late, some
-            // sessions start or end exactly on a tick boundary to exercise
-            // the [start, end) edge cases.
-            let mut t = if rng.random_range(0..4u32) == 0 {
-                0.0
+    let schedules = SessionTable::from_nodes((0..n).map(|_| {
+        let mut sessions = Vec::new();
+        // Random alternating up/down walk; some nodes join late, some
+        // sessions start or end exactly on a tick boundary to exercise
+        // the [start, end) edge cases.
+        let mut t = if rng.random_range(0..4u32) == 0 {
+            0.0
+        } else {
+            rng.random_range(0.0..horizon * 0.5)
+        };
+        while t < horizon {
+            let snap = rng.random_range(0..3u32) == 0;
+            let up = if snap {
+                // Snap the duration so the boundary lands on a tick.
+                period * rng.random_range(1..30u32) as f64
             } else {
-                rng.random_range(0.0..horizon * 0.5)
+                rng.random_range(period * 0.3..period * 25.0)
             };
-            while t < horizon {
-                let snap = rng.random_range(0..3u32) == 0;
-                let up = if snap {
-                    // Snap the duration so the boundary lands on a tick.
-                    period * rng.random_range(1..30u32) as f64
-                } else {
-                    rng.random_range(period * 0.3..period * 25.0)
-                };
-                let end = (t + up).min(horizon + period);
-                if end > t {
-                    sessions.push((t, end));
-                }
-                t = end + rng.random_range(period * 0.2..period * 20.0);
+            let end = (t + up).min(horizon + period);
+            if end > t {
+                sessions.push((t, end));
             }
-            NodeSchedule::from_sessions(sessions)
-        })
-        .collect();
+            t = end + rng.random_range(period * 0.2..period * 20.0);
+        }
+        sessions
+    }));
     let degree = rng.random_range(1..4usize).min(n - 1);
     let neighbors = (0..n)
         .map(|i| {
@@ -103,11 +101,11 @@ fn eager_reference(case: &Case, frontiers: &[u64]) -> Vec<Vec<ProbeEstimator>> {
         }
         let now = SimTime::new(t);
         for (i, est) in ests.iter_mut().enumerate() {
-            if !case.schedules[i].is_up(now) {
+            if !case.schedules.node(i).is_up(now) {
                 continue;
             }
             let schedules = &case.schedules;
-            est.probe_round_seeded(&case.streams, |v| schedules[v.index()].is_up(now));
+            est.probe_round_seeded(&case.streams, |v| schedules.node(v.index()).is_up(now));
             if let Some(thr) = case.threshold {
                 est.maintain_seeded(&case.streams, thr, n);
             }

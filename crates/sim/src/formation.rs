@@ -190,7 +190,7 @@ impl<'w> FormationView<'w> {
         let mut cache = self.live.borrow_mut();
         let i = v.index();
         if cache.state[i] == 0 {
-            cache.state[i] = if self.world.schedules[i].is_up(self.now) {
+            cache.state[i] = if self.world.schedules.node(i).is_up(self.now) {
                 1
             } else {
                 2

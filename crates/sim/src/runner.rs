@@ -43,7 +43,7 @@ use idpa_core::reputation::EdgeReputation;
 use idpa_core::routing::{RouteScratch, RoutingView};
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{AdversaryPlan, CheatAction, Engine, FaultPlan, FaultResponse, Process, SimTime};
-use idpa_netmodel::{CostModel, NodeSchedule};
+use idpa_netmodel::{CostModel, SessionTable};
 use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator, ProbeInvalidation};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
@@ -113,7 +113,7 @@ pub(crate) enum ProbeState {
 
 /// The live snapshot the routing layer reads during one transmission.
 struct RunView<'a> {
-    schedules: &'a [NodeSchedule],
+    schedules: &'a SessionTable,
     probes: &'a ProbeState,
     costs: &'a CostModel,
     /// Per-node crash overlay (empty when fault injection is off): node `v`
@@ -142,7 +142,7 @@ struct RunView<'a> {
 
 impl RunView<'_> {
     fn routable(&self, v: NodeId) -> bool {
-        self.schedules[v.index()].is_up(self.now)
+        self.schedules.node(v.index()).is_up(self.now)
             && (self.crashed.is_empty() || self.now.minutes() >= self.crashed[v.index()])
     }
 }
@@ -470,12 +470,14 @@ impl SimulationRun {
     #[must_use]
     pub fn new(cfg: ScenarioConfig, world: World) -> Self {
         let streams = StreamFactory::new(cfg.seed);
-        let neighbor_sets: Vec<Vec<NodeId>> = (0..cfg.n_nodes)
-            .map(|i| world.topology.neighbors(NodeId(i)).to_vec())
-            .collect();
+        // The eager and dense lazy stores replace neighbors in place, so
+        // each starts from its own copy of the adjacency; the sparse store
+        // reads the shared topology until a node is touched.
         let probes = match (cfg.probe_mode, cfg.node_lifecycle) {
             (ProbeMode::Eager, _) => ProbeState::Eager(
-                neighbor_sets
+                world
+                    .topology
+                    .neighbor_lists()
                     .into_iter()
                     .enumerate()
                     .map(|(i, nbrs)| ProbeEstimator::new(NodeId(i), cfg.probe_period, nbrs))
@@ -485,7 +487,7 @@ impl SimulationRun {
                 cfg.probe_period,
                 cfg.churn.horizon,
                 Arc::clone(&world.schedules),
-                neighbor_sets,
+                world.topology.neighbor_lists(),
                 cfg.neighbor_replacement_rounds,
                 streams.clone(),
             )),
@@ -496,7 +498,7 @@ impl SimulationRun {
                 cfg.probe_period,
                 cfg.churn.horizon,
                 Arc::clone(&world.schedules),
-                Arc::new(neighbor_sets),
+                Arc::clone(&world.topology),
                 cfg.neighbor_replacement_rounds,
                 streams.clone(),
             )),
@@ -708,10 +710,10 @@ impl SimulationRun {
         let schedules = &self.world.schedules;
         for (i, probe) in probes.iter_mut().enumerate() {
             // Only live nodes probe.
-            if !schedules[i].is_up(now) {
+            if !schedules.node(i).is_up(now) {
                 continue;
             }
-            probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
+            probe.probe_round_seeded(&self.streams, |v| schedules.node(v.index()).is_up(now));
             if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
                 probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
             }
@@ -856,7 +858,7 @@ impl SimulationRun {
                 (0..self.cfg.n_nodes)
                     .map(NodeId)
                     .filter(|n| kinds[n.index()].is_good()),
-                |n| schedules[n.index()].is_up(now),
+                |n| schedules.node(n.index()).is_up(now),
             );
         }
     }
@@ -889,7 +891,10 @@ impl SimulationRun {
             // (edge 0's sender) never crashes out of its own transmission.
             if ef.crash && i >= 1 {
                 let v = forwarders[i - 1];
-                let end = self.world.schedules[v.index()]
+                let end = self
+                    .world
+                    .schedules
+                    .node(v.index())
                     .session_end_at(now)
                     .unwrap_or_else(|| now.minutes());
                 let slot = &mut self.crashed_until[v.index()];

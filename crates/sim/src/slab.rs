@@ -339,13 +339,11 @@ mod tests {
     #[test]
     fn sweep_cadence_is_tick_gated() {
         use idpa_desim::rng::StreamFactory;
-        use idpa_netmodel::NodeSchedule;
+        use idpa_netmodel::SessionTable;
+        use idpa_overlay::Topology;
         use std::sync::Arc;
-        let schedules = Arc::new(vec![
-            NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
-            NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
-        ]);
-        let neighbors = Arc::new(vec![vec![NodeId(1)], vec![NodeId(0)]]);
+        let schedules = Arc::new(SessionTable::from_nodes([[(0.0, 200.0)], [(0.0, 200.0)]]));
+        let neighbors = Arc::new(Topology::from_lists(vec![vec![NodeId(1)], vec![NodeId(0)]]));
         let probes = LazyProbeSet::new_sparse(
             5.0,
             200.0,

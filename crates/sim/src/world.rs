@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use idpa_core::adversary::apply_availability_attack;
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
-use idpa_netmodel::{ChurnModel, CostModel, NodeSchedule};
+use idpa_netmodel::{ChurnModel, CostModel, SessionTable};
 use idpa_overlay::{node::assign_roles, NodeId, NodeKind, Topology};
 use rand::RngExt;
 
@@ -37,13 +37,15 @@ pub struct PairWorkload {
 pub struct World {
     /// Node roles (good / malicious).
     pub kinds: Vec<NodeKind>,
-    /// The neighbor relation.
-    pub topology: Topology,
-    /// Per-node churn schedules — the one deliberately O(N) structure:
-    /// shared (`Arc`) with the probe sets and any lazy node slab, it *is*
-    /// the compact analytic summary every other piece of per-node state
-    /// materializes from.
-    pub schedules: Arc<Vec<NodeSchedule>>,
+    /// The neighbor relation (flat CSR adjacency), shared (`Arc`) with the
+    /// sparse probe store, which reads a node's initial neighbors from it
+    /// in place.
+    pub topology: Arc<Topology>,
+    /// Every node's churn schedule in one flat table — the one
+    /// deliberately O(N) structure: shared (`Arc`) with the probe sets and
+    /// any lazy node slab, it *is* the compact analytic summary every
+    /// other piece of per-node state materializes from.
+    pub schedules: Arc<SessionTable>,
     /// The bandwidth/cost matrix.
     pub costs: CostModel,
     /// The (I, R) workload.
@@ -98,14 +100,14 @@ impl World {
                 .filter(|(_, k)| !k.is_good())
                 .map(|(i, _)| NodeId(i))
                 .collect();
-            schedules = apply_availability_attack(schedules, &attackers, cfg.churn.horizon);
+            schedules = apply_availability_attack(&schedules, &attackers, cfg.churn.horizon);
         }
 
         let pairs = Self::generate_workload(cfg, &mut streams.stream("workload"))?;
 
         Ok(World {
             kinds,
-            topology,
+            topology: Arc::new(topology),
             schedules: Arc::new(schedules),
             costs,
             pairs,
@@ -350,7 +352,7 @@ mod tests {
         let w = World::generate(&cfg);
         for (i, k) in w.kinds.iter().enumerate() {
             if !k.is_good() {
-                assert_eq!(w.schedules[i].availability(), 1.0);
+                assert_eq!(w.schedules.node(i).availability(), 1.0);
             }
         }
     }

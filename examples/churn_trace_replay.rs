@@ -23,11 +23,10 @@ fn main() {
     };
     let world = World::generate(&cfg);
     let csv = trace_to_csv(&world.schedules);
-    let sessions: usize = world.schedules.iter().map(|s| s.sessions().len()).sum();
     println!(
         "[1] exported churn trace: {} nodes, {} sessions, {} bytes of CSV",
         world.schedules.len(),
-        sessions,
+        world.schedules.session_count(),
         csv.len()
     );
 

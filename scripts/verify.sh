@@ -24,8 +24,10 @@ cargo build --release --offline
 stage="test (cargo test -q --offline --workspace)"
 cargo test -q --offline --workspace
 
-stage="lint (cargo clippy --all-targets -- -D warnings)"
-cargo clippy --all-targets --offline -- -D warnings
+# --workspace here too: a bare `cargo clippy --all-targets` lints only the
+# root facade package and none of the member crates.
+stage="lint (cargo clippy --workspace --all-targets -- -D warnings)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 stage="format (cargo fmt --check)"
 cargo fmt --check

@@ -236,7 +236,7 @@ fn churn_schedules_are_wellformed() {
         };
         let scheds =
             ChurnModel::new(cfg).generate(&mut Xoshiro256StarStar::seed_from_u64(r.next()));
-        for s in &scheds {
+        for s in scheds.iter() {
             let mut prev_end = 0.0;
             for &(a, b) in s.sessions() {
                 assert!(a < b);
